@@ -60,15 +60,14 @@ stage_asan() {
 
 stage_perf() {
   echo "==> perf: bench smoke (hot-path throughput + memo exactness +"
-  echo "          parallel scaling + DSE sweep + trace compaction +"
-  echo "          persistent-service gates)"
+  echo "          DSE sweep + trace compaction + persistent-service gates)"
   configure build
   cmake --build build -j "$JOBS" \
-    --target bench_hotpath bench_memo bench_parallel_scaling bench_dse \
-    bench_trace bench_service swiftsimd
-  # perf_parallel_smoke, perf_dse_smoke, perf_trace_smoke and
-  # perf_service_smoke self-skip (exit 77) on hosts with < 4 hardware
-  # threads, where their speedup gates are meaningless.
+    --target bench_hotpath bench_memo bench_dse bench_trace bench_service \
+    swiftsimd
+  # perf_dse_smoke, perf_trace_smoke and perf_service_smoke self-skip
+  # (exit 77) on hosts with < 4 hardware threads, where their speedup
+  # gates are meaningless.
   ctest --test-dir build -L perf --output-on-failure
 }
 

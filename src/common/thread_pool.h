@@ -1,6 +1,6 @@
 // Persistent work-stealing thread pool shared by every parallel entry
-// point in the framework (app-level batches, SM-parallel runs, the cache
-// pre-pass and the bounded-slack parallel simulator). Workers are spawned
+// point in the framework (app-level batches, DSE point lanes, SM-parallel
+// runs, trace builds and the cache pre-pass). Workers are spawned
 // once and reused across submissions — no parallel path spawns a
 // std::thread per batch or per kernel.
 //

@@ -66,26 +66,6 @@ WritePolicy WritePolicyFromString(const std::string& s) {
   throw SimError("unknown write policy '" + s + "'");
 }
 
-std::string ToString(ParallelMode m) {
-  switch (m) {
-    case ParallelMode::kAuto:
-      return "auto";
-    case ParallelMode::kApp:
-      return "app";
-    case ParallelMode::kIntra:
-      return "intra";
-  }
-  return "?";
-}
-
-ParallelMode ParallelModeFromString(const std::string& s) {
-  const std::string t = ToLower(s);
-  if (t == "auto") return ParallelMode::kAuto;
-  if (t == "app") return ParallelMode::kApp;
-  if (t == "intra") return ParallelMode::kIntra;
-  throw SimError("unknown parallel mode '" + s + "'");
-}
-
 GpuConfig::GpuConfig() {
   // The l1 member's defaults describe an L1; adjust the l2 member to a
   // write-back, non-streaming slice with L2-class parameters.
@@ -325,9 +305,6 @@ GpuConfig GpuConfig::FromIni(const IniFile& ini, GpuConfig base) {
   c.trace.cache_dir = ini.GetString("trace.cache_dir", c.trace.cache_dir);
   c.trace.parallel_build =
       ini.GetBool("trace.parallel_build", c.trace.parallel_build);
-  if (ini.Has("parallel.mode")) {
-    c.parallel.mode = ParallelModeFromString(ini.GetString("parallel.mode"));
-  }
   c.watchdog.stall_cycles =
       ini.GetUint("watchdog.stall_cycles", c.watchdog.stall_cycles);
   c.watchdog.wall_seconds =
@@ -404,8 +381,6 @@ std::string GpuConfig::ToIniString() const {
      << "cache_dir = " << trace.cache_dir << "\n"
      << "parallel_build = " << (trace.parallel_build ? "true" : "false")
      << "\n";
-  os << "[parallel]\n"
-     << "mode = " << ToString(parallel.mode) << "\n";
   os << "[watchdog]\n"
      << "stall_cycles = " << watchdog.stall_cycles << "\n"
      << "wall_seconds = " << watchdog.wall_seconds << "\n"

@@ -149,24 +149,6 @@ struct MemoConfig {
   std::uint64_t max_bytes = 0;
 };
 
-/// Batch parallelization policy (DESIGN.md §12): how RunAppsParallel maps
-/// a batch shape (apps × threads × per-app SM count) onto the shared
-/// thread pool.
-enum class ParallelMode {
-  kAuto,   // app-parallel when apps >= threads, else a capped mix
-  kApp,    // one serial simulator per app (historical behavior)
-  kIntra,  // apps sequential, each on the intra-app task-graph driver
-};
-
-std::string ToString(ParallelMode m);
-ParallelMode ParallelModeFromString(const std::string& s);
-
-/// Knobs for the task-graph parallel driver and the two-mode batch policy
-/// (DESIGN.md §12).
-struct ParallelConfig {
-  ParallelMode mode = ParallelMode::kAuto;
-};
-
 /// Forward-progress watchdog over the cycle-accurate drivers (DESIGN.md
 /// §11). Disabled by default; stall_cycles = 0 keeps the hot loop free of
 /// any watchdog work, preserving bit-identical pre-watchdog behavior.
@@ -249,9 +231,6 @@ struct GpuConfig {
   /// on-disk compact trace cache at a directory (empty disables it);
   /// `parallel_build` toggles per-variant generation on the shared pool.
   TraceConfig trace;
-
-  /// Batch/intra-app parallelization policy (DESIGN.md §12).
-  ParallelConfig parallel;
 
   /// Forward-progress watchdog (DESIGN.md §11).
   WatchdogConfig watchdog;

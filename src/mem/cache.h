@@ -5,7 +5,6 @@
 // write-validate sectors (L2).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -90,26 +89,18 @@ class SectorCache {
   /// Requests toward the next level: misses, write-throughs, writebacks.
   RingBuffer<MemRequest>& miss_queue() { return miss_out_; }
 
-  bool miss_queue_full() const {
-    const std::size_t ext =
-        port_occupancy_ == nullptr
-            ? 0
-            : port_occupancy_->load(std::memory_order_relaxed);
-    return miss_out_.size() + ext >= out_capacity_;
-  }
-
-  /// Parallel shard drivers drain miss_queue() into a cross-thread port
-  /// (see GpuModel); requests drained but not yet injected downstream must
-  /// still occupy this cache's output budget so backpressure timing matches
-  /// the serial drain exactly. `occupancy` must outlive the cache.
-  void BindPortOccupancy(const std::atomic<std::size_t>* occupancy) {
-    port_occupancy_ = occupancy;
-  }
+  bool miss_queue_full() const { return miss_out_.size() >= out_capacity_; }
 
   /// True when no latency-pipe entries or MSHR entries remain.
   bool quiescent() const {
+    return drained_but_miss_queue() && miss_out_.empty();
+  }
+
+  /// quiescent() ignoring the miss queue, for owners that count queued
+  /// requests as downstream traffic (GpuModel::MemQuiescent).
+  bool drained_but_miss_queue() const {
     return pending_responses_.empty() && mshr_.size() == 0 &&
-           miss_out_.empty() && ready_responses_.empty();
+           ready_responses_.empty();
   }
 
   /// Earliest cycle a latency-pipe response becomes ready (~0ull if none).
@@ -162,7 +153,6 @@ class SectorCache {
   TagArray tags_;
   Mshr mshr_;
   unsigned out_capacity_;
-  const std::atomic<std::size_t>* port_occupancy_ = nullptr;
   std::uint64_t next_req_id_;
 
   Cycle cycle_ = 0;

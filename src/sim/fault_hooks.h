@@ -2,7 +2,7 @@
 //
 // GpuModel consults an armed FaultHooks instance at the module hand-off
 // points the resilience tests target: NoC→SM response delivery, SM issue,
-// and the coordinator's shared-memory drain. The hooks are pure observers
+// and the shared-memory drain. The hooks are pure observers
 // plus a response-holding station — they never mutate model state, so
 // conservation invariants (every request eventually answered or loudly
 // dropped) are the implementation's to keep.
@@ -39,8 +39,8 @@ class FaultHooks {
   /// ticked; response delivery still happens).
   virtual bool FreezeIssue(SmId sm, Cycle now) = 0;
 
-  /// True while a backpressure storm blocks the coordinator's SM-port and
-  /// L2 drains this cycle (queue-full conditions propagate upward).
+  /// True while a backpressure storm blocks the L1-miss-queue and L2
+  /// drains this cycle (queue-full conditions propagate upward).
   virtual bool StormActive(Cycle now) = 0;
 
   /// True while any response is in custody; folded into MemQuiescent so

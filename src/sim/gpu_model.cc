@@ -55,19 +55,6 @@ GpuModel::GpuModel(const GpuConfig& cfg, const ModelSelection& selection,
         cfg_, sel_, s, mem_model_.get(),
         [this](SmId) { scheduler_.OnCtaComplete(); }));
   }
-  if (sel_.mem == MemModelKind::kCycleAccurate) {
-    // Port rings must hold more than the L1's output budget: evictions are
-    // pushed past the budget (EmitEviction has no capacity check), so the
-    // occupancy can transiently exceed out_capacity.
-    constexpr std::size_t kPortCapacity = 64;
-    sm_ports_.reserve(cfg_.num_sms);
-    for (unsigned s = 0; s < cfg_.num_sms; ++s) {
-      sm_ports_.push_back(std::make_unique<SmMemPort>(kPortCapacity));
-      if (SectorCache* l1 = sms_[s]->l1()) {
-        l1->BindPortOccupancy(&sm_ports_[s]->pending);
-      }
-    }
-  }
   RegisterMetrics();
 }
 
@@ -123,11 +110,13 @@ bool GpuModel::MemQuiescent() const {
   for (const auto& d : dram_) {
     if (!d->quiescent()) return false;
   }
-  // Drained-but-uninjected requests (e.g. stores, which mint no MSHR
-  // entry) live only in the ports; without this the model could report
+  // Uninjected requests (e.g. stores, which mint no MSHR entry) live only
+  // in the L1 miss queues; without this the model could report
   // quiescence while traffic is still in flight.
-  for (const auto& port : sm_ports_) {
-    if (port->pending.load(std::memory_order_acquire) != 0) return false;
+  for (const auto& sm : sms_) {
+    if (const SectorCache* l1 = sm->l1(); l1 && l1->miss_queue_size() != 0) {
+      return false;
+    }
   }
   return true;
 }
@@ -188,7 +177,7 @@ bool GpuModel::TickSmRange(unsigned first, unsigned last, Cycle now) {
     // miss-queue backpressure wakes as soon as the queue drains below
     // capacity (CapacityWakeDue) — the fullness it sees here is exactly
     // what its retry would have seen, since only TickSharedMemory of the
-    // previous cycle changes the queue-plus-port occupancy.
+    // previous cycle changes the queue occupancy.
     if (sm.Active()) {
       if (fault_ && fault_->FreezeIssue(sm.id(), now)) {
         // Issue frozen by the fault plan: the SM is not ticked at all.
@@ -203,41 +192,26 @@ bool GpuModel::TickSmRange(unsigned first, unsigned last, Cycle now) {
         sm.AccountSkippedCycles(1);
       }
     }
-    if (mem_ca) {
-      // Drain the L1 miss queue into this SM's port. At slack=1 the port
-      // is consumed the same cycle, so the request reaches the NoC exactly
-      // when the serial loop's direct drain would have delivered it.
-      SmMemPort& port = *sm_ports_[i];
-      auto& mq = sm.l1()->miss_queue();
-      while (!mq.empty()) {
-        if (!port.q.Push({now, mq.front()})) break;
-        port.pending.fetch_add(1, std::memory_order_release);
-        mq.pop_front();
-      }
-    }
   }
   ScopedSimContext::SetSm(-1);
   return progressed;
 }
 
 void GpuModel::TickSharedMemory(Cycle now) {
-  // A fault-plan backpressure storm stalls the coordinator's two drain
-  // points (SM ports → NoC, NoC → L2); the queues behind them fill and
-  // the resulting queue-full rejections propagate all the way up to the
-  // LD/ST units, exactly like a congested interconnect.
+  // A fault-plan backpressure storm stalls the two drain points (L1 miss
+  // queues → NoC, NoC → L2); the queues behind them fill and the
+  // resulting queue-full rejections propagate all the way up to the LD/ST
+  // units, exactly like a congested interconnect.
   const bool storm = fault_ && fault_->StormActive(now);
-  // SM ports drain into the request network in SM order, stopping per SM
-  // on the first rejection — identical arbitration to the serial drain.
-  // Entries stamped in the future (slack > 1) wait for their cycle.
+  // L1 miss queues drain into the request network in SM order, stopping
+  // per SM on the first rejection.
   if (!storm) {
-    for (unsigned s = 0; s < sm_ports_.size(); ++s) {
-      SpscQueue<SmMemPort::Stamped>& q = sm_ports_[s]->q;
-      while (const SmMemPort::Stamped* e = q.Front()) {
-        if (e->cycle > now) break;
-        const unsigned p = addrmap_->PartitionOf(e->req.line_addr);
-        if (!noc_->InjectRequest(s, p, e->req)) break;
-        q.Pop();
-        sm_ports_[s]->pending.fetch_sub(1, std::memory_order_release);
+    for (unsigned s = 0; s < sms_.size(); ++s) {
+      auto& mq = sms_[s]->l1()->miss_queue();
+      while (!mq.empty()) {
+        const unsigned p = addrmap_->PartitionOf(mq.front().line_addr);
+        if (!noc_->InjectRequest(s, p, mq.front())) break;
+        mq.pop_front();
       }
     }
   }
@@ -309,11 +283,9 @@ Cycle GpuModel::MinNextWake() const {
 
 Cycle GpuModel::MemNextEventAfter(Cycle now) const {
   if (!noc_) return kNever;
-  // Port entries retry injection every cycle. Entries stamped in the
-  // future (slack > 1 windows) make this conservative — waking early is
-  // always exact, only waking late could diverge.
-  for (const auto& port : sm_ports_) {
-    if (port->pending.load(std::memory_order_acquire) != 0) return now + 1;
+  // Queued L1 misses retry injection every cycle.
+  for (const auto& sm : sms_) {
+    if (sm->l1()->miss_queue_size() != 0) return now + 1;
   }
   Cycle ev = noc_->NextEventAfter(now);
   if (fault_) {
@@ -586,10 +558,10 @@ std::string GpuModel::WriteDiagnosticDump(const std::string& reason,
          << ", \"ready\": " << dram_[i]->ready_size() << "}";
     }
     os << "],";
-    os << "\n    \"sm_ports_pending\": [";
-    for (std::size_t i = 0; i < sm_ports_.size(); ++i) {
+    os << "\n    \"l1_miss_queues\": [";
+    for (std::size_t i = 0; i < sms_.size(); ++i) {
       if (i) os << ", ";
-      os << sm_ports_[i]->pending.load(std::memory_order_acquire);
+      os << sms_[i]->l1()->miss_queue_size();
     }
     os << "]\n  ";
   }

@@ -4,7 +4,6 @@
 // Modeling").
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "analytical/mem_model.h"
-#include "common/spsc_queue.h"
 #include "common/types.h"
 #include "config/gpu_config.h"
 #include "mem/addrmap.h"
@@ -79,13 +77,10 @@ class GpuModel {
   std::uint64_t TotalIssuedInstrs() const;
   std::uint64_t TotalReservationFails() const;
 
-  // --- Shard-driver interface (bounded-slack parallel simulation) ---------
-  // RunKernel is built on these primitives; a parallel driver (see
-  // swiftsim/parallel_detailed.cc) may instead advance disjoint SM ranges
-  // concurrently between barriers and tick the shared L2/NoC/DRAM from a
-  // single coordinator thread. SM→memory traffic crosses threads through
-  // the per-SM bounded SPSC ports below, so slack=1 parallel runs are
-  // cycle-identical to the serial loop.
+  // --- Stepping interface -------------------------------------------------
+  // RunKernel is built on these primitives, one cycle at a time: CTA
+  // dispatch, the SM ticks, then the shared memory system. Tests (the
+  // hot-path allocation gate) step a model through them directly.
 
   /// Feasibility check, launch overhead, per-SM kernel-start hooks and
   /// block-scheduler arming — everything RunKernel does before its loop.
@@ -96,21 +91,20 @@ class GpuModel {
     return scheduler_.Done() && AllQuiescent();
   }
 
-  /// Greedy CTA dispatch over all SMs; single-threaded (coordinator only).
+  /// Greedy CTA dispatch over all SMs.
   unsigned AssignPendingCtas() { return scheduler_.AssignPending(sms_); }
 
   /// Advances SMs [first, last) by one cycle: delivers pending NoC
-  /// responses, ticks each active SM, and drains its L1 miss queue into
-  /// the SM's memory port (stamped with `now`). Returns true if any SM
-  /// progressed. Disjoint ranges are safe to run concurrently.
+  /// responses and ticks each active SM. Returns true if any SM
+  /// progressed.
   bool TickSmRange(unsigned first, unsigned last, Cycle now);
 
-  /// Ticks the shared memory system one cycle: injects port requests with
-  /// stamp <= now into the request network (SM order, backpressure-exact),
-  /// then ticks NoC, L2 slices and DRAM channels. Coordinator only.
+  /// Ticks the shared memory system one cycle: injects each SM's L1 miss
+  /// queue into the request network (SM order, stopping per SM at the
+  /// first rejection), then ticks NoC, L2 slices and DRAM channels.
   void TickSharedMemory(Cycle now);
 
-  /// NoC + L2 + DRAM + all SM memory ports drained.
+  /// NoC + L2 + DRAM + all SM L1 miss queues drained.
   bool MemQuiescent() const;
 
   /// Earliest future wake cycle over all active SMs; kNever when none.
@@ -118,19 +112,19 @@ class GpuModel {
 
   /// The shared memory system's side of the wake calendar: the earliest
   /// cycle > `now` at which the NoC, any L2 slice, any DRAM channel, or a
-  /// pending SM port entry can change state. kNever when drained (or in
+  /// queued L1 miss can change state. kNever when drained (or in
   /// analytical-memory mode, which has no shared memory system).
   Cycle MemNextEventAfter(Cycle now) const;
 
   /// Fast-forwards over `skipped` cycles the calendar proved are no-op
   /// ticks: replays per-call rotors (NoC arbitration, block-scheduler
   /// starting SM), catches up per-SM stall accounting, and records skip
-  /// statistics. Call only from the driver thread (serial loop or the
-  /// parallel window completion step).
+  /// statistics.
   void FastForward(Cycle skipped);
 
-  /// Parallel drivers own the clock between kernels; resync the model so
-  /// state that persists across kernels (launch overhead, totals) agrees.
+  /// Drivers that own the clock between kernels (memo replay, retry and
+  /// degradation) resync the model so state that persists across kernels
+  /// (launch overhead, totals) agrees.
   void SyncClock(Cycle now) { now_ = now; }
 
   // --- Resilience (DESIGN.md §11) -----------------------------------------
@@ -166,20 +160,6 @@ class GpuModel {
   std::uint64_t ProgressSignature() const;
 
  private:
-  /// One SM's outbound memory port: requests stamped with their issue
-  /// cycle, produced by the SM's shard thread and consumed by the memory
-  /// coordinator. `pending` mirrors the queue size so the L1's output
-  /// backpressure still sees drained-but-uninjected requests.
-  struct SmMemPort {
-    struct Stamped {
-      Cycle cycle = 0;
-      MemRequest req;
-    };
-    explicit SmMemPort(std::size_t capacity) : q(capacity) {}
-    SpscQueue<Stamped> q;
-    std::atomic<std::size_t> pending{0};
-  };
-
   /// Skip statistics (registered under "driver.*"). span_hist[k] counts
   /// jumps whose span lies in [2^k, 2^(k+1)) cycles; the last bucket is
   /// open-ended.
@@ -203,7 +183,6 @@ class GpuModel {
   std::vector<std::unique_ptr<SectorCache>> l2_;
   std::vector<std::unique_ptr<DramChannel>> dram_;
   std::unique_ptr<AddrMap> addrmap_;
-  std::vector<std::unique_ptr<SmMemPort>> sm_ports_;
   BlockScheduler scheduler_;
   MetricsGatherer gatherer_;
   SkipStats skip_;

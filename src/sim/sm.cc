@@ -608,7 +608,10 @@ bool SmCore::Tick(Cycle now) {
 
 bool SmCore::Quiescent() const {
   if (!events_.empty()) return false;
-  if (l1_ && !l1_->quiescent()) return false;
+  // Queued L1 misses are the memory system's to inject; the GPU model
+  // counts them in MemQuiescent, so an SM left holding only those is
+  // drained and stops ticking.
+  if (l1_ && !l1_->drained_but_miss_queue()) return false;
   for (const SubCore& sc : subcores_) {
     if (sc.ldst && !sc.ldst->quiescent()) return false;
     if (sc.ana_ldst_inflight != 0) return false;

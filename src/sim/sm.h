@@ -119,7 +119,8 @@ class SmCore {
     return false;
   }
 
-  /// All LD/ST units, the L1 and the event queue drained.
+  /// All LD/ST units, the L1 (bar its miss queue) and the event queue
+  /// drained.
   bool Quiescent() const;
 
   // --- Memory-side interface (cycle-accurate memory mode only) ------------

@@ -233,7 +233,7 @@ void PruneRung(const char* rung, double delta, std::size_t target,
 
 /// 128-bit identity of everything a resumed sweep must agree on: the
 /// applications, the point list (hashes, in order) and every option that
-/// feeds a rung or pruning decision. threads/mode are deliberately
+/// feeds a rung or pruning decision. threads is deliberately
 /// excluded — rung results are worker-count independent by construction,
 /// so a sweep may legally resume with a different parallel shape.
 std::string SweepIdentity(const std::vector<Application>& apps,
@@ -436,13 +436,12 @@ SweepReport RunSweep(const std::vector<Application>& apps,
       todo.push_back(i);
     }
     if (todo.empty()) return 1;
-    // Points are independent app-lanes; the batch policy resolves the
-    // lane count (analytical flag false: each point runs serially inside
-    // its lane, which keeps rung results worker-count independent by
-    // construction).
-    const BatchPlan plan = PlanParallelBatch(
-        todo.size(), opt.threads, /*cycle_accurate_mem=*/false, opt.mode);
-    pool.ParallelFor(todo.size(), plan.app_lanes, [&](std::size_t k) {
+    // Points are independent app-lanes, each running serially, which
+    // keeps rung results worker-count independent by construction. The
+    // clamp matters: ParallelFor reads 0 workers as "the whole pool".
+    const unsigned lanes = static_cast<unsigned>(
+        std::min<std::size_t>(todo.size(), std::max(1u, opt.threads)));
+    pool.ParallelFor(todo.size(), lanes, [&](std::size_t k) {
       PointOutcome& po = report.points[todo[k]];
       const RungStats s = RunPoint(apps, points[todo[k]].cfg, level);
       po.*cyc = s.cycles;
@@ -453,7 +452,7 @@ SweepReport RunSweep(const std::vector<Application>& apps,
       po.level_reached = level;
       if (journal) journal->AppendRung(rung, todo[k], s.cycles, s.wall);
     });
-    return plan.app_lanes;
+    return lanes;
   };
 
   std::vector<std::size_t> alive(points.size());

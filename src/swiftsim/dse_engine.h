@@ -3,9 +3,8 @@
 // Turns an expanded SweepSpec into a scheduled, cache-warm, adaptively
 // pruned search instead of a cold serial loop:
 //
-//   * points run as app-lanes on the shared ThreadPool, shaped by
-//     PlanParallelBatch (points are independent applications as far as
-//     the batch policy is concerned);
+//   * points run as app-lanes on the shared ThreadPool, one serial
+//     simulation per lane;
 //   * one process-global MemoCache/ProfileCache is threaded through all
 //     points: repeated launches inside iterative apps replay, and points
 //     that differ only in timing parameters share one pre-pass profile
@@ -54,8 +53,7 @@ struct Objective {
 std::vector<bool> ParetoFrontier(const std::vector<Objective>& candidates);
 
 struct DseOptions {
-  unsigned threads = 1;                     // worker budget for point lanes
-  ParallelMode mode = ParallelMode::kAuto;  // batch policy input
+  unsigned threads = 1;  // worker budget for point lanes; 0 = one lane
   /// false = reference mode: every point runs to final_level, no pruning
   /// (the ground truth an early-stopped sweep must match on its promoted
   /// points).

@@ -2,7 +2,7 @@
 //
 // A FaultPlan describes a deterministic chaos scenario: response delays,
 // drop-then-retry (or drop-forever, the livelock fixture), warp-issue
-// freezes, backpressure storms at the coordinator drains, and trace-record
+// freezes, backpressure storms at the shared-memory drains, and trace-record
 // truncation/corruption at ingestion. FaultInjector implements the
 // FaultHooks seam the cycle-accurate driver consults; every decision is a
 // stateless hash of (seed, site, position), so the same plan produces the
@@ -46,7 +46,7 @@ struct FaultPlan {
   Cycle issue_stall_cycles = 0;
 
   // Backpressure storm: whole windows of `storm_cycles` during which the
-  // coordinator's SM-port and L2 drains are blocked (queue-full upward).
+  // L1-miss-queue and L2 drains are blocked (queue-full upward).
   double storm_p = 0;
   Cycle storm_cycles = 0;
 

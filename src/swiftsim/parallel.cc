@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "sim/metrics.h"
 #include "swiftsim/memo_cache.h"
-#include "swiftsim/parallel_detailed.h"
 #include "swiftsim/simulator.h"
 
 namespace swiftsim {
@@ -24,83 +23,16 @@ const char* ToString(AppStatus status) {
   return "unknown";
 }
 
-BatchPlan PlanParallelBatch(std::size_t num_apps, unsigned num_threads,
-                            bool cycle_accurate_mem, ParallelMode mode) {
-  BatchPlan plan;
-  const unsigned budget = std::max(1u, num_threads);
-  const unsigned apps =
-      static_cast<unsigned>(std::min<std::size_t>(num_apps, budget));
-  if (num_apps == 0) return plan;
-  // Intra-app sharding is only a drop-in at cycle-accurate-memory levels
-  // (the task-graph driver is bit-identical to the serial simulator
-  // there); analytical-memory levels stay app-parallel.
-  if (!cycle_accurate_mem) mode = ParallelMode::kApp;
-  const bool auto_mode = mode == ParallelMode::kAuto;
-  if (auto_mode) {
-    // MAGPIE-style two-mode selection: enough apps to fill the budget →
-    // app-parallel (perfect scaling, zero sync); fewer apps → a mix that
-    // spreads the spare threads inside each app.
-    mode = num_apps >= budget ? ParallelMode::kApp : ParallelMode::kIntra;
-  }
-  plan.chosen = mode;
-  if (mode == ParallelMode::kApp) {
-    plan.app_lanes = apps;
-    plan.threads_per_app = 1;
-  } else if (auto_mode) {
-    // Mix shape: one lane per app, spare budget inside each lane. Never
-    // double-partition the pool — lanes × per-app workers stays within
-    // the budget, so intra-app clusters don't oversubscribe the hardware
-    // the app lanes already claimed.
-    plan.app_lanes = apps;
-    plan.threads_per_app = std::max(1u, budget / plan.app_lanes);
-  } else {
-    // Explicit intra: apps run one at a time, each on the full budget.
-    plan.app_lanes = 1;
-    plan.threads_per_app = budget;
-  }
-  return plan;
-}
-
-namespace {
-
-/// True when the resolved plan can shard inside apps for this batch:
-/// fault injection and degradation need the resilient serial driver.
-bool IntraEligible(const BatchOptions* options, const GpuConfig& cfg) {
-  const bool resilient =
-      (options != nullptr && options->fault_plan != nullptr) ||
-      cfg.degrade.on_hang || cfg.degrade.max_retries > 0;
-  return !resilient;
-}
-
-}  // namespace
-
 ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,
                                     const GpuConfig& cfg, SimLevel level,
                                     unsigned num_threads) {
   SS_CHECK(num_threads > 0, "need at least one worker thread");
-  const bool ca_mem =
-      SelectionFor(level).mem == MemModelKind::kCycleAccurate;
-  const BatchPlan plan = PlanParallelBatch(
-      apps.size(), num_threads,
-      ca_mem && IntraEligible(nullptr, cfg), cfg.parallel.mode);
   ParallelBatchResult batch;
   batch.results.resize(apps.size());
   const auto t0 = std::chrono::steady_clock::now();
   ThreadPool& pool = ThreadPool::Shared();
-  if (plan.threads_per_app > 1) {
-    // Joiners are spread across lanes; grow the pool once, up front, so
-    // every lane's task-graph workers can actually run concurrently.
-    pool.EnsureWorkers(plan.app_lanes * plan.threads_per_app - 1);
-  }
-  pool.ParallelFor(apps.size(), plan.app_lanes, [&](std::size_t i) {
-    if (plan.threads_per_app > 1) {
-      ParallelDetailedOptions popt;
-      popt.num_threads = plan.threads_per_app;
-      popt.slack = 1;  // deterministic mode: bit-identical to serial
-      batch.results[i] = RunParallelDetailed(apps[i], cfg, level, popt);
-    } else {
-      batch.results[i] = RunSimulation(apps[i], cfg, level);
-    }
+  pool.ParallelFor(apps.size(), num_threads, [&](std::size_t i) {
+    batch.results[i] = RunSimulation(apps[i], cfg, level);
   });
   const auto t1 = std::chrono::steady_clock::now();
   batch.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -113,8 +45,7 @@ namespace {
 /// classification. Never throws when isolation is on.
 void RunOneIsolated(const Application& app, const GpuConfig& cfg,
                     SimLevel level, const BatchOptions& options,
-                    unsigned intra_threads, SimResult* result,
-                    AppOutcome* outcome) {
+                    SimResult* result, AppOutcome* outcome) {
   for (unsigned attempt = 0; ; ++attempt) {
     outcome->attempts = attempt + 1;
     try {
@@ -126,18 +57,9 @@ void RunOneIsolated(const Application& app, const GpuConfig& cfg,
         faulted = InjectTraceFaults(app, *options.fault_plan);
         target = &faulted;
       }
-      if (intra_threads > 1) {
-        // Only planned when IntraEligible (no fault plan, no degradation),
-        // so skipping the resilient Simulator wrapper drops nothing.
-        ParallelDetailedOptions popt;
-        popt.num_threads = intra_threads;
-        popt.slack = 1;  // deterministic mode: bit-identical to serial
-        *result = RunParallelDetailed(*target, cfg, level, popt);
-      } else {
-        Simulator sim(*target, cfg, level);
-        sim.ArmFaultPlan(options.fault_plan);
-        *result = sim.Run();
-      }
+      Simulator sim(*target, cfg, level);
+      sim.ArmFaultPlan(options.fault_plan);
+      *result = sim.Run();
       outcome->status = result->degrades.empty() ? AppStatus::kOk
                                                  : AppStatus::kDegraded;
       outcome->error.clear();
@@ -170,26 +92,18 @@ ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,
              "batch fault injection and retry require isolate_failures");
     return RunAppsParallel(apps, cfg, level, num_threads);
   }
-  const bool ca_mem =
-      SelectionFor(level).mem == MemModelKind::kCycleAccurate;
-  const BatchPlan plan = PlanParallelBatch(
-      apps.size(), num_threads,
-      ca_mem && IntraEligible(&options, cfg), cfg.parallel.mode);
   ParallelBatchResult batch;
   batch.results.resize(apps.size());
   batch.statuses.resize(apps.size());
   const auto t0 = std::chrono::steady_clock::now();
   ThreadPool& pool = ThreadPool::Shared();
-  if (plan.threads_per_app > 1) {
-    pool.EnsureWorkers(plan.app_lanes * plan.threads_per_app - 1);
-  }
-  pool.ParallelFor(apps.size(), plan.app_lanes, [&](std::size_t i) {
+  pool.ParallelFor(apps.size(), num_threads, [&](std::size_t i) {
     // Name the result even when the first kernel never completes, so
     // failed entries are attributable in reports.
     batch.results[i].app = apps[i].name;
     batch.results[i].simulator = ToString(level);
-    RunOneIsolated(apps[i], cfg, level, options, plan.threads_per_app,
-                   &batch.results[i], &batch.statuses[i]);
+    RunOneIsolated(apps[i], cfg, level, options, &batch.results[i],
+                   &batch.statuses[i]);
   });
   const auto t1 = std::chrono::steady_clock::now();
   batch.wall_seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -60,30 +60,9 @@ struct BatchOptions {
   const FaultPlan* fault_plan = nullptr;
 };
 
-/// How a batch shape maps onto the shared thread pool (DESIGN.md §12):
-/// `app_lanes` applications run concurrently, each on `threads_per_app`
-/// task-graph workers. The invariant app_lanes * threads_per_app <=
-/// max(num_threads, 1) prevents double-partitioning the pool (apps ×
-/// clusters must never oversubscribe the requested worker budget).
-struct BatchPlan {
-  unsigned app_lanes = 1;
-  unsigned threads_per_app = 1;
-  ParallelMode chosen = ParallelMode::kApp;  // resolved mode, never kAuto
-};
-
-/// Resolves the two-mode policy for a batch shape. `cycle_accurate_mem`
-/// says whether the level shards exactly under the task-graph driver
-/// (analytical-memory levels fall back to app-parallel: their intra-app
-/// runner is a documented approximation, not a drop-in). Decision table in
-/// DESIGN.md §12.
-BatchPlan PlanParallelBatch(std::size_t num_apps, unsigned num_threads,
-                            bool cycle_accurate_mem, ParallelMode mode);
-
-/// Runs each application through its own simulator concurrently. With
-/// cfg.parallel.mode = auto (default) a batch smaller than the thread
-/// budget spreads the spare threads inside apps via the task-graph driver
-/// (cycle-accurate-memory levels only; bit-identical to the serial
-/// simulator), capped so apps × per-app workers never exceeds the budget.
+/// Runs each application through its own serial simulator, at most
+/// `num_threads` applications at a time. Results are bit-identical to
+/// RunSimulation for any thread count.
 ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,
                                     const GpuConfig& cfg, SimLevel level,
                                     unsigned num_threads);

@@ -18,7 +18,6 @@
 #include "config/ini.h"
 #include "config/presets.h"
 #include "swiftsim/memo_cache.h"
-#include "swiftsim/parallel_detailed.h"
 #include "swiftsim/simulator.h"
 #include "workloads/workload.h"
 
@@ -47,10 +46,6 @@ const std::set<std::string>& KnownConfigKeys() {
 std::uint64_t MetricOrZero(const SimResult& res, const std::string& name) {
   auto it = res.metrics.find(name);
   return it == res.metrics.end() ? 0 : it->second;
-}
-
-bool CycleAccurateMemory(SimLevel level) {
-  return SelectionFor(level).mem == MemModelKind::kCycleAccurate;
 }
 
 }  // namespace
@@ -261,11 +256,9 @@ struct SimulationService::PendingJob {
 SimulationService::SimulationService(ServiceOptions opt) : opt_(std::move(opt)) {
   unsigned threads = opt_.threads != 0 ? opt_.threads
                                        : std::max(1u, std::thread::hardware_concurrency());
-  unsigned lanes_wanted = opt_.max_concurrent != 0 ? opt_.max_concurrent : threads;
-  // Lanes are shaped once, for the cycle-accurate case (the expensive
-  // shape); analytical-memory jobs simply run serially inside their lane.
-  plan_ = PlanParallelBatch(lanes_wanted, threads, /*cycle_accurate_mem=*/true,
-                            opt_.mode);
+  // One lane per expected concurrent job, never more than the budget.
+  num_lanes_ = std::min(
+      opt_.max_concurrent != 0 ? opt_.max_concurrent : threads, threads);
   queue_ = std::make_unique<BoundedQueue<std::shared_ptr<PendingJob>>>(
       opt_.queue_capacity);
   latencies_.reserve(kLatencyWindow);
@@ -291,10 +284,10 @@ SimulationService::SimulationService(ServiceOptions opt) : opt_(std::move(opt)) 
 
   // Lanes are dedicated threads that only wait and drive; the worker
   // budget lives on the shared pool, where every lane's nested parallel
-  // work (trace builds, pre-passes, the task-graph driver) executes.
-  ThreadPool::Shared().EnsureWorkers(plan_.app_lanes * plan_.threads_per_app);
-  lanes_.reserve(plan_.app_lanes);
-  for (unsigned i = 0; i < plan_.app_lanes; ++i) {
+  // work (trace builds, pre-passes) executes.
+  ThreadPool::Shared().EnsureWorkers(num_lanes_);
+  lanes_.reserve(num_lanes_);
+  for (unsigned i = 0; i < num_lanes_; ++i) {
     lanes_.emplace_back([this] { LaneLoop(); });
   }
 }
@@ -487,19 +480,8 @@ void SimulationService::RunJob(PendingJob& job, Response* out) {
                                ? RepeatLaunches(*app, job.job.iterations)
                                : *app;
 
-    SimResult res;
-    if (plan_.threads_per_app > 1 && CycleAccurateMemory(job.job.level) &&
-        !job.cfg.degrade.on_hang) {
-      // Spare budget inside the lane: the slack=1 task-graph driver is
-      // bit-identical to the serial simulator (DESIGN.md §12).
-      ParallelDetailedOptions pd;
-      pd.num_threads = plan_.threads_per_app;
-      pd.slack = 1;
-      res = RunParallelDetailed(repeated, job.cfg, job.job.level, pd);
-    } else {
-      Simulator sim(repeated, job.cfg, job.job.level);
-      res = sim.Run();
-    }
+    Simulator sim(repeated, job.cfg, job.job.level);
+    const SimResult res = sim.Run();
 
     out->ok = true;
     out->status = res.degrades.empty() ? "ok" : "degraded";
@@ -629,9 +611,7 @@ std::string SimulationService::StatsJson() const {
   w.Key("jobs_replayed").Uint(opt_.sup_jobs_replayed);
   w.Key("retries").Uint(opt_.sup_retries);
   w.Key("journal_bytes").Uint(opt_.sup_journal_bytes);
-  w.Key("app_lanes").Uint(plan_.app_lanes);
-  w.Key("threads_per_app").Uint(plan_.threads_per_app);
-  w.Key("mode").String(swiftsim::ToString(plan_.chosen));
+  w.Key("app_lanes").Uint(num_lanes_);
   w.Key("queue_capacity").Uint(queue_->capacity());
   w.Key("queue_depth").Uint(queue_->size());
   w.Key("memo_cache_entries").Uint(MemoCache::Global().size());

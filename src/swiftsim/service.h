@@ -9,9 +9,8 @@
 //     and stdin/stdout transports) accepting simulation jobs — workload,
 //     scale/seed, launch iterations, SimLevel, preset + sparse INI
 //     overrides;
-//   * a worker-lane fleet on the shared ThreadPool, shaped once by the
-//     two-mode PlanParallelBatch policy (DESIGN.md §12): spare budget
-//     inside lanes runs cycle-accurate jobs on the task-graph driver;
+//   * a fleet of worker lanes, one job each, feeding the shared
+//     ThreadPool; every job runs the serial simulator (DESIGN.md §7);
 //   * process-global warm state — MemoCache, ProfileCache and a
 //     fingerprint-keyed built-trace cache (in-memory LRU over the on-disk
 //     compact cache) — shared by all requests, with --memo-file
@@ -28,8 +27,7 @@
 //
 // Results are bit-identical to one-shot CLI runs of the same (workload,
 // config, SimLevel), including under coalescing and after memo-file
-// reload: replay is exact at the analytical-memory level and the
-// slack=1 task-graph driver is bit-identical to serial.
+// reload: replay is exact at the analytical-memory level.
 #pragma once
 
 #include <condition_variable>
@@ -47,8 +45,8 @@
 #include "common/thread_pool.h"
 #include "config/gpu_config.h"
 #include "sim/model_select.h"
-#include "swiftsim/parallel.h"
 #include "trace/fingerprint.h"
+#include "trace/kernel.h"
 
 namespace swiftsim::service {
 
@@ -141,9 +139,8 @@ SimLevel SimLevelFromString(const std::string& s);
 
 struct ServiceOptions {
   unsigned threads = 0;         // worker budget; 0 = hardware concurrency
-  ParallelMode mode = ParallelMode::kAuto;  // PlanParallelBatch input
-  /// Expected concurrent jobs — the `num_apps` lane-shape input to
-  /// PlanParallelBatch. 0 = the thread budget (pure app-parallel lanes).
+  /// Expected concurrent jobs: the lane count, capped at the thread
+  /// budget. 0 = the thread budget.
   unsigned max_concurrent = 0;
   unsigned queue_capacity = 64;  // admitted-but-unstarted job bound
   Limits limits;
@@ -214,7 +211,6 @@ class SimulationService {
   /// p50/p95/p99 wall latency over the recent completion window.
   std::string StatsJson() const;
 
-  const BatchPlan& plan() const { return plan_; }
   const Limits& limits() const { return opt_.limits; }
   const ServiceOptions& options() const { return opt_; }
 
@@ -242,7 +238,7 @@ class SimulationService {
   /// Lanes are dedicated threads, NOT tasks on the shared pool — a lane
   /// parked in Pop (or blocked in a nested TaskGroup::Wait) would occupy
   /// a pool worker and starve the parallelism running jobs submit to
-  /// that same pool (trace builds, the pre-pass, the task-graph driver).
+  /// that same pool (trace builds, the pre-pass).
   /// The pool carries the parallel work; lanes only carry the waiting.
   void LaneLoop();
   void ProcessJob(const std::shared_ptr<PendingJob>& job);
@@ -253,7 +249,7 @@ class SimulationService {
   void RecordLatency(double seconds);
 
   ServiceOptions opt_;
-  BatchPlan plan_;
+  unsigned num_lanes_ = 1;
   GpuConfig base_generic_;  // preset-free request base
   std::unique_ptr<BoundedQueue<std::shared_ptr<PendingJob>>> queue_;
   std::vector<std::thread> lanes_;

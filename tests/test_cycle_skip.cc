@@ -3,15 +3,13 @@
 // the wake calendar proves are no-op ticks. Every observable — total
 // cycles, per-kernel cycles, instruction counts, and every non-driver
 // metric (including per-SM stall accounting) — must match the plain
-// per-cycle loop exactly, serially and under the bounded-slack parallel
-// driver at slack=1.
+// per-cycle loop exactly.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 
 #include "config/presets.h"
-#include "swiftsim/parallel_detailed.h"
 #include "swiftsim/simulator.h"
 #include "workloads/workload.h"
 
@@ -86,29 +84,6 @@ TEST(CycleSkip, SerialSiliconBitIdentical) {
     const SimResult skipped =
         RunSimulation(app, skip_cfg, SimLevel::kSilicon);
     ExpectIdentical(reference, skipped, std::string(name) + "/silicon");
-  }
-}
-
-TEST(CycleSkip, ParallelSlackOneBitIdenticalToPerCycleSerial) {
-  // The strongest cross-check: parallel driver with skipping enabled vs
-  // the serial per-cycle loop with skipping disabled, across thread
-  // counts. Any late wake or rotor drift shows up as a cycle delta.
-  const GpuConfig ref_cfg = SmallGpu(false);
-  const GpuConfig skip_cfg = SmallGpu(true);
-  for (const char* name : {"SM", "BFS"}) {
-    const Application app = SmallApp(name);
-    const SimResult reference =
-        RunSimulation(app, ref_cfg, SimLevel::kDetailed);
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      ParallelDetailedOptions opt;
-      opt.num_threads = threads;
-      opt.slack = 1;
-      const SimResult par =
-          RunParallelDetailed(app, skip_cfg, SimLevel::kDetailed, opt);
-      ExpectIdentical(reference, par,
-                      std::string(name) + "/detailed/t" +
-                          std::to_string(threads));
-    }
   }
 }
 

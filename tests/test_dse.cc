@@ -243,11 +243,16 @@ TEST(DseEngine, DecisionsAreWorkerCountIndependent) {
   const auto exp = SmallSweep();
   const std::vector<Application> apps = {SmallApp("SM")};
   std::map<std::uint64_t, std::string> ref;
-  for (const unsigned threads : {1u, 2u, 4u}) {
+  for (const unsigned threads : {0u, 1u, 2u, 4u}) {
     ClearGlobalCaches();
     dse::DseOptions opt = FastOptions();
     opt.threads = threads;
     const auto rep = dse::RunSweep(apps, exp.points, opt);
+    // threads = 0 runs one lane: ParallelFor would read 0 as "the whole
+    // pool", so the engine clamps it.
+    EXPECT_EQ(rep.screen_lanes,
+              std::min<std::size_t>(rep.screen_sims, std::max(1u, threads)))
+        << "threads=" << threads;
     const auto dec = DecisionMap(rep);
     if (ref.empty()) {
       ref = dec;

@@ -3,11 +3,11 @@
 // The compact storage rewrite is a pure representation change: the dense
 // 16-byte record + side address pool must hold exactly the information the
 // AoS form held, and every consumer — fingerprinting, the SM issue path at
-// all SimLevels, cycle skipping, the parallel detailed driver, memo replay
-// — must produce bit-identical results. The golden fingerprints, instr
-// counts and cycle counts below were captured from the pre-columnar AoS
-// seed at scale 0.05 with the default config; any drift is a correctness
-// bug in the encoding, not a tolerance to widen.
+// all SimLevels, cycle skipping, memo replay — must produce bit-identical
+// results. The golden fingerprints, instr counts and cycle counts below
+// were captured from the pre-columnar AoS seed at scale 0.05 with the
+// default config; any drift is a correctness bug in the encoding, not a
+// tolerance to widen.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "config/gpu_config.h"
-#include "swiftsim/parallel_detailed.h"
 #include "swiftsim/simulator.h"
 #include "trace/fingerprint.h"
 #include "trace/trace_io.h"
@@ -126,20 +125,6 @@ TEST(TraceCompact, CycleSkipOnOffIdentical) {
     const Application app = BuildWorkload(g.app, TestScale());
     EXPECT_EQ(RunSimulation(app, on, SimLevel::kDetailed).total_cycles,
               RunSimulation(app, off, SimLevel::kDetailed).total_cycles)
-        << g.app;
-  }
-}
-
-TEST(TraceCompact, ParallelSlack1MatchesGolden) {
-  const GpuConfig cfg = TestConfig();
-  ParallelDetailedOptions opt;
-  opt.num_threads = 2;
-  opt.slack = 1;
-  for (const Golden& g : Goldens()) {
-    const Application app = BuildWorkload(g.app, TestScale());
-    EXPECT_EQ(
-        RunParallelDetailed(app, cfg, SimLevel::kDetailed, opt).total_cycles,
-        g.detailed)
         << g.app;
   }
 }

@@ -39,8 +39,6 @@
 
 namespace {
 
-using swiftsim::ParallelMode;
-using swiftsim::ParallelModeFromString;
 using swiftsim::SimError;
 using swiftsim::service::ServeLines;
 using swiftsim::service::ServeResult;
@@ -58,8 +56,8 @@ per line on stdin (default) or a unix socket, one JSON response per line.
 
   --socket PATH         serve a unix socket instead of stdin/stdout
   --threads N           worker budget (default: hardware concurrency)
-  --mode auto|app|intra batch parallelization policy (default auto)
-  --max-concurrent N    concurrent jobs the lane plan is shaped for
+  --max-concurrent N    concurrent job lanes, capped at --threads
+                        (default: --threads); each job runs serially
   --queue N             admission queue capacity (default 64)
   --memo-file PATH      load memo cache on start, save on shutdown
   --trace-cache DIR     on-disk compact trace cache directory
@@ -122,10 +120,6 @@ bool ParseFlags(int argc, char** argv, Flags* out) {
         const char* v = take();
         if (v == nullptr) return false;
         out->svc.threads = static_cast<unsigned>(std::stoul(v));
-      } else if (flag == "--mode") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.mode = ParallelModeFromString(v);
       } else if (flag == "--max-concurrent") {
         const char* v = take();
         if (v == nullptr) return false;
