@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "common/journal.h"
@@ -320,6 +321,20 @@ std::string GitDescribe() {
   return out;
 }
 
+// The host's CPU model as /proc/cpuinfo names it ("unknown" elsewhere).
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos) {
+      return std::string(Trim(std::string_view(line).substr(colon + 1)));
+    }
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 std::string GitDescribeString() { return GitDescribe(); }
@@ -385,6 +400,8 @@ void WriteRunsJson(const std::string& path, const std::string& bench,
   SS_CHECK(f != nullptr, "cannot open --json path '" + path + "'");
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"git\": \"%s\",\n",
                bench.c_str(), GitDescribe().c_str());
+  std::fprintf(f, "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), CpuModel().c_str());
   for (const auto& [name, value] : extra) {
     std::fprintf(f, "  \"%s\": %.6f,\n", name.c_str(), value);
   }

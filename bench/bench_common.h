@@ -183,9 +183,10 @@ LatencySummary Summarize(const std::vector<double>& seconds);
 void AppendLatencyFields(const std::string& prefix, const LatencySummary& s,
                          std::vector<std::pair<std::string, double>>* extra);
 
-/// Writes `{"bench":..., "git":..., "scale":..., "runs":[...]}` to `path`,
-/// creating parent directories as needed. `git` is `git describe
-/// --always --dirty` ("unknown" outside a repo). The `extra` overload
+/// Writes `{"bench":..., "git":..., "host":..., "scale":..., "runs":[...]}`
+/// to `path`, creating parent directories as needed. `git` is `git
+/// describe --always --dirty` ("unknown" outside a repo); `host` is
+/// `{"nproc": <hardware threads>, "cpu": <model name>}`. The `extra` overload
 /// additionally emits each (name, value) pair as a top-level numeric
 /// field — throughput and latency summaries ride next to the runs.
 void WriteRunsJson(const std::string& path, const std::string& bench,

@@ -5,7 +5,7 @@
 #   scripts/ci.sh            # all stages
 #   scripts/ci.sh build      # tier-1 build + full ctest
 #   scripts/ci.sh tsan       # ThreadSanitizer build + tsan-labelled suites
-#   scripts/ci.sh asan       # ASan+UBSan build + chaos-labelled suites
+#   scripts/ci.sh asan       # ASan+UBSan build + chaos/bitid-labelled suites
 #   scripts/ci.sh perf       # <10 s hot-path bench smoke (perf label)
 #
 # Build trees: build/ (tier-1 + perf), build-tsan/ (ThreadSanitizer) and
@@ -46,7 +46,7 @@ stage_tsan() {
 }
 
 stage_asan() {
-  echo "==> asan: ASan+UBSan build + chaos-labelled suites"
+  echo "==> asan: ASan+UBSan build + chaos- and bitid-labelled suites"
   configure build-asan -DSWIFTSIM_ASAN=ON
   cmake --build build-asan -j "$JOBS"
   # The chaos label covers fault injection, the livelock/watchdog fixtures,
@@ -54,8 +54,11 @@ stage_asan() {
   # (journal/torn-tail suites, the supervisor crash matrix, and the
   # chaos_recovery_smoke / chaos_supervise_smoke SIGKILL-and-resume
   # benches, which self-skip with exit 77 where fork/kill is unavailable)
-  # — the inputs most likely to surface memory errors.
-  ctest --test-dir build-asan -L chaos --output-on-failure
+  # — the inputs most likely to surface memory errors. The bitid label adds
+  # the bit-identity suites of the driver's set-bit walks (golden digests,
+  # the crossbar differential test, the scheduler live-set rows), where a
+  # shift by 64 or an off-by-one word would otherwise go unnoticed.
+  ctest --test-dir build-asan -L 'chaos|bitid' --output-on-failure
 }
 
 stage_perf() {

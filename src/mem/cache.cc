@@ -23,7 +23,6 @@ SectorCache::SectorCache(std::string name, const CacheParams& params,
 }
 
 void SectorCache::BeginCycle(Cycle now) {
-  cycle_ = now;
   if (banks_dirty_) {
     std::fill(bank_used_.begin(), bank_used_.end(), 0);
     banks_dirty_ = false;

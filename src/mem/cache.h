@@ -59,8 +59,11 @@ class SectorCache {
   SectorCache(std::string name, const CacheParams& params,
               std::uint64_t instance, unsigned out_capacity = 16);
 
-  /// Must be called once per cycle before Access/Fill: resets the per-bank
-  /// budget and releases latency-pipe responses that are due.
+  /// Must be called before Access/Fill in any cycle that uses them: resets
+  /// the per-bank budget and releases latency-pipe responses that are due.
+  /// An owner with no access or fill to make may skip it until
+  /// NextEventAfter's cycle: no response falls due before then, and the
+  /// next call resets the bank budget anyway.
   void BeginCycle(Cycle now);
 
   /// Attempts one access. Returns false (with NO state change) if the
@@ -155,7 +158,6 @@ class SectorCache {
   unsigned out_capacity_;
   std::uint64_t next_req_id_;
 
-  Cycle cycle_ = 0;
   std::vector<std::uint8_t> bank_used_;
   bool banks_dirty_ = false;  // any bank_used_ bit set since last reset
   RingBuffer<TimedResponse> pending_responses_;  // latency pipe (FIFO)

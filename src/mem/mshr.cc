@@ -5,11 +5,8 @@
 namespace swiftsim {
 
 Mshr::Mshr(unsigned entries, unsigned max_merge)
-    : max_entries_(entries), max_merge_(max_merge), pool_(entries) {
-  for (unsigned i = 0; i < entries; ++i) {
-    pool_[i].next_free = i + 1 < entries ? i + 1 : kNil;
-  }
-  free_head_ = entries > 0 ? 0 : kNil;
+    : max_entries_(entries), max_merge_(max_merge) {
+  pool_.reserve(entries);
   index_.Reserve(entries);
 }
 
@@ -25,9 +22,16 @@ void Mshr::Allocate(Addr line_addr, const MemRequest& requester) {
   if (const std::uint32_t* found = index_.Find(line_addr)) {
     slot = *found;
   } else {
-    SS_DCHECK(free_head_ != kNil);
-    slot = free_head_;
-    free_head_ = pool_[slot].next_free;
+    if (free_head_ != kNil) {
+      slot = free_head_;
+      free_head_ = pool_[slot].next_free;
+    } else {
+      // Fresh slots come out in ascending order once the free list runs
+      // dry; the reserved capacity makes this growth allocation-free.
+      SS_DCHECK(pool_.size() < max_entries_);
+      slot = static_cast<std::uint32_t>(pool_.size());
+      pool_.emplace_back();
+    }
     pool_[slot].requested_sectors = 0;
     pool_[slot].arrived_sectors = 0;
     pool_[slot].merged = 0;

@@ -8,14 +8,17 @@
 // its wake time is whatever the NoC/DRAM calendars report — the MSHR never
 // contributes an event of its own.
 //
-// Entries live in a fixed pool sized to the entry limit and are looked up
-// through a slim line->index map. Keeping the fat waiter lists out of the
+// Entries live in a pool whose capacity is reserved at the entry limit;
+// an entry is constructed on first use, so a model whose caches never see
+// that many misses outstanding never pays for the rest. Entries are looked
+// up through a slim line->index map. Keeping the fat waiter lists out of the
 // hash slots matters on the hot path: probes stride over 16-byte items
 // instead of multi-hundred-byte entries, and the map's backward-shift
 // deletion moves indices, never waiter vectors.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/flat_map.h"
 #include "common/inline_vec.h"
@@ -84,8 +87,8 @@ class Mshr {
 
   unsigned max_entries_;
   unsigned max_merge_;
-  std::vector<Entry> pool_;                   // max_entries slots, fixed
-  std::uint32_t free_head_ = kNil;            // LIFO free list
+  std::vector<Entry> pool_;                   // grows up to max_entries
+  std::uint32_t free_head_ = kNil;            // LIFO list of freed slots
   std::size_t size_ = 0;                      // live entries
   FlatMap<Addr, std::uint32_t> index_;        // line addr -> pool slot
 };

@@ -13,7 +13,7 @@ void BlockScheduler::StartKernel(const KernelTrace* kernel) {
 }
 
 unsigned BlockScheduler::AssignPending(
-    std::vector<std::unique_ptr<SmCore>>& sms) {
+    std::vector<std::unique_ptr<SmCore>>& sms, IndexSet* launched_on) {
   if (kernel_ == nullptr || AllLaunched()) return 0;
   const KernelInfo& info = kernel_->info();
   unsigned launched = 0;
@@ -25,9 +25,11 @@ unsigned BlockScheduler::AssignPending(
   while (any && !AllLaunched()) {
     any = false;
     for (unsigned k = 0; k < n && !AllLaunched(); ++k) {
-      SmCore& sm = *sms[(rr_ + k) % n];
+      const unsigned s = (rr_ + k) % n;
+      SmCore& sm = *sms[s];
       if (sm.CanTakeCta(info)) {
         sm.LaunchCta(*kernel_, next_cta_++);
+        if (launched_on != nullptr) launched_on->Insert(s);
         ++launched;
         any = true;
       }

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/bitutil.h"
 #include "common/types.h"
 #include "sim/sm.h"
 #include "trace/kernel.h"
@@ -21,8 +22,10 @@ class BlockScheduler {
   void StartKernel(const KernelTrace* kernel);
 
   /// Launches as many pending CTAs as fit right now, rotating over SMs for
-  /// load balance. Returns the number launched.
-  unsigned AssignPending(std::vector<std::unique_ptr<SmCore>>& sms);
+  /// load balance. Returns the number launched. Each SM that received a
+  /// CTA is inserted into `*launched_on` when given.
+  unsigned AssignPending(std::vector<std::unique_ptr<SmCore>>& sms,
+                         IndexSet* launched_on = nullptr);
 
   /// Called (via the SMs' completion hook) when a CTA finishes. Safe to
   /// call concurrently from shard worker threads.

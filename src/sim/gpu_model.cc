@@ -49,6 +49,9 @@ GpuModel::GpuModel(const GpuConfig& cfg, const ModelSelection& selection,
           dram_params, cfg_.l2.sector_bytes, effects));
     }
   }
+  partition_next_.assign(l2_.size(), 0);
+  active_sms_ = IndexSet(cfg_.num_sms);
+  l1_miss_sms_ = IndexSet(cfg_.num_sms);
   sms_.reserve(cfg_.num_sms);
   for (unsigned s = 0; s < cfg_.num_sms; ++s) {
     sms_.push_back(std::make_unique<SmCore>(
@@ -113,19 +116,15 @@ bool GpuModel::MemQuiescent() const {
   // Uninjected requests (e.g. stores, which mint no MSHR entry) live only
   // in the L1 miss queues; without this the model could report
   // quiescence while traffic is still in flight.
-  for (const auto& sm : sms_) {
-    if (const SectorCache* l1 = sm->l1(); l1 && l1->miss_queue_size() != 0) {
-      return false;
-    }
-  }
-  return true;
+  return l1_miss_sms_.Empty();
 }
 
 bool GpuModel::AllQuiescent() const {
-  for (const auto& sm : sms_) {
-    if (!sm->Quiescent()) return false;
-  }
-  return MemQuiescent();
+  // SMs outside active_sms_ were found drained and stay so until their
+  // next CTA launch, which re-inserts them.
+  const bool sm_busy = active_sms_.ForEach(
+      [&](unsigned i) { return !sms_[i]->Quiescent(); });
+  return !sm_busy && MemQuiescent();
 }
 
 bool GpuModel::TickSmRange(unsigned first, unsigned last, Cycle now) {
@@ -139,7 +138,11 @@ bool GpuModel::TickSmRange(unsigned first, unsigned last, Cycle now) {
   const bool account_skips = never_jump && cfg_.cycle_skip;
   bool progressed = false;
   std::vector<MemResponse> due;  // fault-injection redeliveries only
-  for (unsigned i = first; i < last; ++i) {
+  // Only SMs that received a CTA and have not been found drained since are
+  // visited. Skipping the others is exact: a drained SM stays drained until
+  // its next LaunchCta, and it holds no MSHR entry, so no NoC response or
+  // fault-held response can be owed to it.
+  active_sms_.ForEach(first, last, [&](unsigned i) {
     SmCore& sm = *sms_[i];
     ScopedSimContext::SetSm(static_cast<int>(i));
     if (mem_ca) {
@@ -191,8 +194,13 @@ bool GpuModel::TickSmRange(unsigned first, unsigned last, Cycle now) {
         // metrics bit-identical.
         sm.AccountSkippedCycles(1);
       }
+    } else {
+      active_sms_.Erase(i);
     }
-  }
+    // Only this SM's LD/ST accesses and fill evictions, both made during
+    // the visit above, push onto its L1 miss queue.
+    if (mem_ca && sm.l1()->miss_queue_size() != 0) l1_miss_sms_.Insert(i);
+  });
   ScopedSimContext::SetSm(-1);
   return progressed;
 }
@@ -206,21 +214,27 @@ void GpuModel::TickSharedMemory(Cycle now) {
   // L1 miss queues drain into the request network in SM order, stopping
   // per SM on the first rejection.
   if (!storm) {
-    for (unsigned s = 0; s < sms_.size(); ++s) {
+    l1_miss_sms_.ForEach([&](unsigned s) {
       auto& mq = sms_[s]->l1()->miss_queue();
       while (!mq.empty()) {
         const unsigned p = addrmap_->PartitionOf(mq.front().line_addr);
         if (!noc_->InjectRequest(s, p, mq.front())) break;
         mq.pop_front();
       }
-    }
+      if (mq.empty()) l1_miss_sms_.Erase(s);
+    });
   }
   noc_->Tick(now);
   for (unsigned p = 0; p < cfg_.num_mem_partitions; ++p) {
+    // A partition's state changes only here and through NoC ejection into
+    // its request queue. Until its recorded event, with that queue empty,
+    // its tick would be a no-op (DramChannel::NextEventAfter includes the
+    // refresh edges), so it is skipped.
+    auto& rq = noc_->requests_at(p);
+    if (now < partition_next_[p] && rq.empty()) continue;
     SectorCache& l2 = *l2_[p];
     l2.BeginCycle(now);
     // Ejected requests into the L2 slice (its banks limit throughput).
-    auto& rq = noc_->requests_at(p);
     unsigned attempts = storm ? 0 : l2_drain_attempts_;
     while (!rq.empty() && attempts-- > 0) {
       if (!l2.Access(rq.front(), now)) break;
@@ -244,6 +258,8 @@ void GpuModel::TickSharedMemory(Cycle now) {
       l2.Fill(dresp.front(), now);
       dresp.pop_front();
     }
+    partition_next_[p] =
+        std::min(l2.NextEventAfter(now), dram_[p]->NextEventAfter(now));
   }
 }
 
@@ -275,18 +291,16 @@ void GpuModel::BeginKernel(const KernelTrace& kernel) {
 
 Cycle GpuModel::MinNextWake() const {
   Cycle wake = kNever;
-  for (const auto& sm : sms_) {
-    if (sm->Active()) wake = std::min(wake, sm->NextWake());
-  }
+  active_sms_.ForEach([&](unsigned i) {
+    if (sms_[i]->Active()) wake = std::min(wake, sms_[i]->NextWake());
+  });
   return wake;
 }
 
 Cycle GpuModel::MemNextEventAfter(Cycle now) const {
   if (!noc_) return kNever;
   // Queued L1 misses retry injection every cycle.
-  for (const auto& sm : sms_) {
-    if (sm->l1()->miss_queue_size() != 0) return now + 1;
-  }
+  if (!l1_miss_sms_.Empty()) return now + 1;
   Cycle ev = noc_->NextEventAfter(now);
   if (fault_) {
     // Held responses redeliver at their due cycle; a never-due hold
@@ -314,12 +328,12 @@ void GpuModel::FastForward(Cycle skipped) {
   // and per-SM stall accounting.
   if (noc_) noc_->FastForward(skipped);
   scheduler_.OnCyclesSkipped(skipped, cfg_.num_sms);
-  for (const auto& sm : sms_) {
-    if (sm->Active()) {
-      sm->AccountSkippedCycles(skipped);
+  active_sms_.ForEach([&](unsigned i) {
+    if (sms_[i]->Active()) {
+      sms_[i]->AccountSkippedCycles(skipped);
       skip_.sm_ticks_saved += skipped;
     }
-  }
+  });
   skip_.cycles_skipped += skipped;
   ++skip_.jumps;
   unsigned bucket = 0;

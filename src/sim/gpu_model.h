@@ -92,16 +92,19 @@ class GpuModel {
   }
 
   /// Greedy CTA dispatch over all SMs.
-  unsigned AssignPendingCtas() { return scheduler_.AssignPending(sms_); }
+  unsigned AssignPendingCtas() {
+    return scheduler_.AssignPending(sms_, &active_sms_);
+  }
 
-  /// Advances SMs [first, last) by one cycle: delivers pending NoC
-  /// responses and ticks each active SM. Returns true if any SM
+  /// Advances the active SMs in [first, last) by one cycle: delivers
+  /// pending NoC responses and ticks each one. Returns true if any SM
   /// progressed.
   bool TickSmRange(unsigned first, unsigned last, Cycle now);
 
-  /// Ticks the shared memory system one cycle: injects each SM's L1 miss
-  /// queue into the request network (SM order, stopping per SM at the
-  /// first rejection), then ticks NoC, L2 slices and DRAM channels.
+  /// Ticks the shared memory system one cycle: injects each non-empty L1
+  /// miss queue into the request network (SM order, stopping per SM at the
+  /// first rejection), then ticks the NoC and every memory partition (L2
+  /// slice + DRAM channel) that has work this cycle.
   void TickSharedMemory(Cycle now);
 
   /// NoC + L2 + DRAM + all SM L1 miss queues drained.
@@ -184,6 +187,13 @@ class GpuModel {
   std::vector<std::unique_ptr<DramChannel>> dram_;
   std::unique_ptr<AddrMap> addrmap_;
   BlockScheduler scheduler_;
+  // Activity indexes (DESIGN.md §8): the per-cycle loops walk only these
+  // members, in index order. Each is updated at the exact events that
+  // change it.
+  IndexSet active_sms_;    // SMs that may be Active(): received a CTA and
+                           // not yet found drained
+  IndexSet l1_miss_sms_;   // SMs whose L1 miss queue is non-empty
+  std::vector<Cycle> partition_next_;  // per partition: next own event
   MetricsGatherer gatherer_;
   SkipStats skip_;
   unsigned l2_drain_attempts_ = 0;  // resolved from cfg (0 = l2.banks)

@@ -54,6 +54,7 @@ SmCore::SmCore(const GpuConfig& cfg, const ModelSelection& selection, SmId id,
     SubCore& s = subcores_[sc];
     s.scheduler = std::make_unique<WarpScheduler>(cfg.sched_policy,
                                                   warps_per_sc);
+    s.live = IndexSet(warps_per_sc);
     if (sel_.alu == AluModelKind::kCycleAccurate) {
       s.pipelines.emplace_back(UnitClass::kInt, cfg.int_unit);
       s.pipelines.emplace_back(UnitClass::kSp, cfg.sp_unit);
@@ -106,13 +107,9 @@ void SmCore::NoteWake(Cycle when) {
 
 bool SmCore::CanTakeCta(const KernelInfo& info) const {
   if (!allocator_.CanAllocate(info)) return false;
-  // Also need contiguous-free warp slots balanced over sub-cores; since
-  // slot i belongs to sub-core i % N, any set of free slots works.
-  unsigned free_slots = 0;
-  for (const WarpContext& w : warps_) {
-    if (!w.valid) ++free_slots;
-  }
-  return free_slots >= info.warps_per_cta;
+  // Also need free warp slots; since slot i belongs to sub-core i % N, any
+  // set of free slots works. Every valid slot holds a resident warp.
+  return warps_.size() - resident_warps_ >= info.warps_per_cta;
 }
 
 void SmCore::LaunchCta(const KernelTrace& kernel, CtaId cta_id) {
@@ -145,6 +142,7 @@ void SmCore::LaunchCta(const KernelTrace& kernel, CtaId cta_id) {
     if (sel_.frontend == FrontendKind::kDetailed && !w.exhausted()) {
       ++fetchable_;  // fresh warp: empty i-buffer
     }
+    RefreshLive(slot);
     ++assigned;
     ++resident_warps_;
   }
@@ -164,8 +162,17 @@ void SmCore::Writeback(unsigned slot, std::uint8_t dst) {
   sb_blocked_[slot] = 0;
 }
 
+void SmCore::RefreshLive(unsigned slot) {
+  const WarpContext& w = warps_[slot];
+  const unsigned n_sc = static_cast<unsigned>(subcores_.size());
+  subcores_[slot % n_sc].live.Assign(
+      slot / n_sc, w.valid && !w.done && !w.at_barrier && !w.exhausted());
+}
+
 bool SmCore::WarpReady(unsigned slot, Cycle now) {
   WarpContext& w = warps_[slot];
+  // Exactly the slots outside the live sets fail here, before any side
+  // effect, which is what lets GTO and LRR probe only live slots.
   if (!w.valid || w.done || w.at_barrier || w.exhausted()) return false;
   if (sel_.frontend == FrontendKind::kDetailed) {
     if (w.ibuffer == 0) return false;
@@ -231,9 +238,11 @@ bool SmCore::WarpReady(unsigned slot, Cycle now) {
 }
 
 void SmCore::WakeCtaWarps(unsigned cta_slot) {
-  for (WarpContext& w : warps_) {
+  for (unsigned slot = 0; slot < warps_.size(); ++slot) {
+    WarpContext& w = warps_[slot];
     if (w.valid && w.cta_slot == cta_slot && w.at_barrier) {
       w.at_barrier = false;
+      RefreshLive(slot);
     }
   }
 }
@@ -368,6 +377,7 @@ void SmCore::IssueInstr(unsigned slot, Cycle now) {
   }
   if (ins.has_addrs()) ++w.mem_seen;
   ++w.next_instr;
+  RefreshLive(slot);  // exit, barrier arrival or end of trace
   if (detailed_fe) {
     const bool now_fetchable =
         w.valid && !w.done && !w.exhausted() && w.ibuffer < 2;
@@ -518,7 +528,7 @@ bool SmCore::Tick(Cycle now) {
         const WarpContext& w = warps_[local * n_sc + sc_idx];
         return w.valid ? w.launch_seq : ~std::uint64_t{0};
       };
-      const unsigned pick = sc.scheduler->Pick(ready, age);
+      const unsigned pick = sc.scheduler->Pick(ready, age, sc.live);
       if (pick == kNoSlot) continue;
       const unsigned slot = pick * n_sc + sc_idx;
       // Silicon effect: operand-collector register-bank conflict costs an

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analytical/mem_model.h"
+#include "common/bitutil.h"
 #include "common/types.h"
 #include "config/gpu_config.h"
 #include "core/barrier.h"
@@ -179,9 +180,15 @@ class SmCore {
     Cycle ana_ldst_next_issue = 0;
     unsigned ana_ldst_inflight = 0;
     unsigned fetch_rr = 0;  // detailed-frontend fetch rotor
+    // Local slots (slot / sub-core count) whose warp is valid, unfinished,
+    // not at a barrier and not exhausted; see RefreshLive.
+    IndexSet live;
   };
 
   void Writeback(unsigned slot, std::uint8_t dst);
+  /// Re-derives `slot`'s membership in its sub-core's live set. Called at
+  /// every event that can change it: launch, issue, barrier release.
+  void RefreshLive(unsigned slot);
   bool WarpReady(unsigned slot, Cycle now);
   void IssueInstr(unsigned slot, Cycle now);
   void IssueControl(unsigned slot, const CompactInstr& ins);

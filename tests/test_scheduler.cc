@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace swiftsim {
 namespace {
@@ -127,6 +131,90 @@ TEST(Scheduler, SingleSlotAlwaysPicksZero) {
     WarpScheduler sched(pol, 1);
     auto ready = [](unsigned) { return true; };
     EXPECT_EQ(sched.Pick(ready, AgeBySlot()), 0u) << ToString(pol);
+  }
+}
+
+// Full-scan reference picks for GTO and LRR: every slot is probed, in the
+// order the policies define, with no live set to narrow the walk.
+unsigned RefGtoPick(unsigned slots, unsigned last_issued,
+                    const std::vector<bool>& ready,
+                    const std::vector<std::uint64_t>& ages) {
+  if (last_issued != kNoSlot && ready[last_issued]) return last_issued;
+  unsigned best = kNoSlot;
+  for (unsigned s = 0; s < slots; ++s) {
+    if (ready[s] && (best == kNoSlot || ages[s] < ages[best])) best = s;
+  }
+  return best;
+}
+
+unsigned RefLrrPick(unsigned slots, unsigned last_issued,
+                    const std::vector<bool>& ready) {
+  const unsigned start = last_issued == kNoSlot ? 0 : last_issued + 1;
+  for (unsigned i = 0; i < slots; ++i) {
+    const unsigned s = (start + i) % slots;
+    if (ready[s]) return s;
+  }
+  return kNoSlot;
+}
+
+TEST(Scheduler, LiveSetPickMatchesSetFreePick) {
+  // One scheduler probes only the live slots. Readiness is drawn inside
+  // the live set (an SM never finds a non-live slot ready), so its pick
+  // must equal the full-scan pick: the reference above for GTO and LRR,
+  // and the set-free Pick of a twin scheduler for two-level, which probes
+  // every slot either way.
+  for (auto pol : {SchedPolicy::kGto, SchedPolicy::kLrr,
+                   SchedPolicy::kTwoLevel}) {
+    for (unsigned slots : {1u, 7u, 8u, 32u, 96u}) {
+      const std::string row =
+          std::string(ToString(pol)) + " slots=" + std::to_string(slots);
+      WarpScheduler with_set(pol, slots);
+      WarpScheduler set_free(pol, slots);
+      unsigned last_issued = kNoSlot;
+      Rng rng(0x5eed + slots);
+      std::vector<std::uint64_t> ages(slots);
+      std::uint64_t next_age = 0;
+      for (auto& a : ages) a = next_age++;
+      IndexSet live(slots);
+      std::vector<bool> is_ready(slots, false);
+      for (int step = 0; step < 2000; ++step) {
+        // Density varies per step: empty, sparse and full live sets.
+        const double p_live = static_cast<double>(step % 5) / 4.0;
+        for (unsigned s = 0; s < slots; ++s) {
+          live.Assign(s, rng.Bernoulli(p_live));
+          is_ready[s] = live.Contains(s) && rng.Bernoulli(0.3);
+        }
+        auto ready = [&](unsigned s) { return static_cast<bool>(is_ready[s]); };
+        auto age = [&](unsigned s) { return ages[s]; };
+        const unsigned got = with_set.Pick(ready, age, live);
+        unsigned want = kNoSlot;
+        switch (pol) {
+          case SchedPolicy::kGto:
+            want = RefGtoPick(slots, last_issued, is_ready, ages);
+            break;
+          case SchedPolicy::kLrr:
+            want = RefLrrPick(slots, last_issued, is_ready);
+            break;
+          case SchedPolicy::kTwoLevel:
+            want = set_free.Pick(ready, age);
+            break;
+        }
+        ASSERT_EQ(got, want) << row << " step " << step;
+        if (got != kNoSlot) {
+          with_set.OnIssue(got);
+          set_free.OnIssue(got);
+          last_issued = got;
+        }
+        if (rng.Bernoulli(0.05)) {
+          // A warp exits and a younger one takes its slot.
+          const unsigned s = static_cast<unsigned>(rng.Below(slots));
+          with_set.OnSlotDrained(s);
+          set_free.OnSlotDrained(s);
+          if (last_issued == s) last_issued = kNoSlot;
+          ages[s] = next_age++;
+        }
+      }
+    }
   }
 }
 
