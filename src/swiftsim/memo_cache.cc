@@ -323,19 +323,13 @@ SimResult RunApplicationMemo(const Application& app, const GpuConfig& cfg,
   key.context = FingerprintApplication(app).Fold();
   key.level = static_cast<std::uint8_t>(level);
 
-  // Repeated launches share the KernelTrace object; fingerprint each
-  // distinct object once.
-  std::map<const KernelTrace*, Fingerprint> fp_of;
-
   SimResult result;
   result.app = app.name;
   result.kernels.reserve(app.kernels.size());
   std::map<std::string, std::uint64_t> replayed_deltas;
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& kernel : app.kernels) {
-    const auto [fit, inserted] = fp_of.emplace(kernel.get(), Fingerprint{});
-    if (inserted) fit->second = FingerprintKernel(*kernel);
-    key.kernel_fp = fit->second;
+    key.kernel_fp = FingerprintKernel(*kernel);
 
     if (auto rec = cache.TryReplay(key)) {
       model.SyncClock(model.now() + rec->cycles);

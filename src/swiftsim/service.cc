@@ -524,6 +524,9 @@ std::shared_ptr<const Application> SimulationService::GetApp(
   build.cache_dir = opt_.trace_cache_dir;
   Application built = BuildWorkloadCached(job.workload, {job.scale, job.seed},
                                           build, &disk_hit);
+  // The LRU keeps up to app_cache_entries apps resident; drop their
+  // generators' growth slack (30-40%) while the traces are still private.
+  for (const auto& kernel : built.kernels) kernel->ShrinkToFit();
   auto app = std::make_shared<const Application>(std::move(built));
   {
     std::lock_guard<std::mutex> lock(app_mu_);

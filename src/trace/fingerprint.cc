@@ -1,8 +1,10 @@
 #include "trace/fingerprint.h"
 
 #include <cstdio>
+#include <mutex>
 
 #include "common/bitutil.h"
+#include "trace/kernel.h"
 
 namespace swiftsim {
 
@@ -66,9 +68,7 @@ void MixInstr(FpHasher& h, const CompactInstr& ins, const LaneAddrs& addrs) {
   for (const Addr a : addrs) h.Mix(a);
 }
 
-}  // namespace
-
-Fingerprint FingerprintKernel(const KernelTrace& kernel) {
+Fingerprint HashKernel(const KernelTrace& kernel) {
   FpHasher h;
   const KernelInfo& info = kernel.info();
   h.MixString(info.name);
@@ -90,6 +90,13 @@ Fingerprint FingerprintKernel(const KernelTrace& kernel) {
     }
   }
   return h.Digest();
+}
+
+}  // namespace
+
+Fingerprint FingerprintKernel(const KernelTrace& kernel) {
+  std::call_once(kernel.fp_once_, [&] { kernel.fp_ = HashKernel(kernel); });
+  return kernel.fp_;
 }
 
 Fingerprint FingerprintApplication(const Application& app) {

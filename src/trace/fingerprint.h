@@ -11,9 +11,10 @@
 #include <cstdint>
 #include <string>
 
-#include "trace/kernel.h"
-
 namespace swiftsim {
+
+class KernelTrace;  // trace/kernel.h, which caches its fingerprint
+struct Application;
 
 struct Fingerprint {
   std::uint64_t hi = 0;
@@ -53,12 +54,16 @@ class FpHasher {
 
 /// Structural fingerprint of one kernel: KernelInfo (including the id the
 /// pre-pass profile is keyed by) plus every CTA variant's warp streams.
-/// Cost is proportional to the variant storage, not the grid size.
+/// The first call on a trace object decodes and hashes its variant
+/// storage (every lane address; about 2 ms for a service app at scale
+/// 0.05) and caches the result in the object; every later call, from any
+/// thread, is a load.
 Fingerprint FingerprintKernel(const KernelTrace& kernel);
 
 /// Fingerprint of a whole application: the kernel fingerprints chained in
 /// launch order. Deliberately excludes the display name, so two apps with
-/// identical launch sequences share pre-pass profile cache entries.
+/// identical launch sequences share pre-pass profile cache entries. Once
+/// each distinct trace object has been hashed, O(kernels).
 Fingerprint FingerprintApplication(const Application& app);
 
 }  // namespace swiftsim

@@ -113,6 +113,13 @@ class WarpTrace {
   void reserve(std::size_t n) { instrs_.reserve(n); }
   void clear();
 
+  /// Releases the growth slack of all three columns (capacity == size).
+  void ShrinkToFit() {
+    instrs_.shrink_to_fit();
+    mem_off_.shrink_to_fit();
+    pool_.shrink_to_fit();
+  }
+
   /// Number of address-carrying instructions (== mem-offset table size).
   std::uint32_t num_addr_entries() const {
     return static_cast<std::uint32_t>(mem_off_.size());

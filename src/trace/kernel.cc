@@ -101,6 +101,12 @@ std::uint64_t KernelTrace::TraceBytes() const {
   return bytes;
 }
 
+void KernelTrace::ShrinkToFit() {
+  for (CtaTrace& ct : variants_) {
+    for (WarpTrace& wt : ct.warps) wt.ShrinkToFit();
+  }
+}
+
 const CtaTrace& KernelTrace::cta(CtaId id) const {
   SS_CHECK(id < info_.num_ctas,
            "CTA id " + std::to_string(id) + " out of range for kernel '" +

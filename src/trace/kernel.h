@@ -4,10 +4,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
+#include "trace/fingerprint.h"
 #include "trace/instr.h"
 
 namespace swiftsim {
@@ -70,7 +72,9 @@ class TraceSource {
 };
 
 /// Fully materialized kernel trace with CTA-variant sharing: CTA `i` is
-/// backed by variant `i % variants.size()`.
+/// backed by variant `i % variants.size()`. Immutable once published (the
+/// owner may ShrinkToFit first), so its fingerprint is hashed once, on
+/// first use, and cached here; neither copyable nor movable.
 class KernelTrace : public TraceSource {
  public:
   KernelTrace(KernelInfo info, std::vector<CtaTrace> variants);
@@ -91,10 +95,22 @@ class KernelTrace : public TraceSource {
   /// Bytes of columnar trace storage across all variants.
   std::uint64_t TraceBytes() const;
 
+  /// Releases every WarpTrace column's build-time growth slack. Changes no
+  /// content but reallocates the columns, so call it before the trace is
+  /// shared with other threads.
+  void ShrinkToFit();
+
  private:
+  friend Fingerprint FingerprintKernel(const KernelTrace& kernel);
+
   KernelInfo info_;
   std::vector<CtaTrace> variants_;
   std::uint64_t total_instrs_ = 0;  // sum over the grid, variant-shared
+  // Computed lazily: hashing decodes every lane address and costs more
+  // than building the trace, which runs that never key a cache by the
+  // print should not pay.
+  mutable std::once_flag fp_once_;
+  mutable Fingerprint fp_;
 };
 
 /// A named, loaded application: a sequence of kernels launched in order.

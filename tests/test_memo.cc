@@ -12,8 +12,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <latch>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/status.h"
 #include "config/ini.h"
@@ -151,6 +154,42 @@ TEST(Fingerprint, PinnedGoldenValue) {
   // algorithm changes.
   EXPECT_EQ(FingerprintKernel(ProbeKernel(0, 32)).ToHex(),
             "fc61bb105012821af124ab8c06d73d7f");
+}
+
+TEST(Fingerprint, PinnedRepeatedApplication) {
+  // Repeated launches share one trace object, so all but the first launch
+  // reuse its cached print; the chained value must not notice. Captured
+  // before prints were cached in the trace.
+  const Application app = RepeatLaunches(SmallApp("BFS", 0.05), 8);
+  EXPECT_EQ(FingerprintApplication(app).ToHex(),
+            "59073a78322519c2fc3f9fe5e9912849");
+}
+
+TEST(Fingerprint, ConcurrentFirstUseMatchesIndependentBuild) {
+  // Eight threads take the first print of one shared, never-hashed app at
+  // once: the lazily computed value must be published exactly once and
+  // seen whole by every thread.
+  const Application shared = SmallApp("BFS", 0.05);
+  const Application copy = SmallApp("BFS", 0.05);
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<Fingerprint> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = FingerprintApplication(shared);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const Fingerprint want = FingerprintApplication(copy);
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], want) << t;
+  ASSERT_EQ(shared.kernels.size(), copy.kernels.size());
+  for (std::size_t k = 0; k < shared.kernels.size(); ++k) {
+    EXPECT_EQ(FingerprintKernel(*shared.kernels[k]),
+              FingerprintKernel(*copy.kernels[k]))
+        << k;
+  }
 }
 
 TEST(CanonicalConfigHash, SensitiveToAnyIniField) {

@@ -144,6 +144,33 @@ TEST(TraceCompact, MemoReplayIdentical) {
   EXPECT_GT(hits->second, 0u);
 }
 
+TEST(TraceCompact, ShrinkToFitTrimsColumnsAndKeepsResults) {
+  const Application plain = BuildWorkload("BFS", TestScale());
+  const Application trimmed = BuildWorkload("BFS", TestScale());
+  for (const auto& kernel : trimmed.kernels) kernel->ShrinkToFit();
+  const GpuConfig cfg = TestConfig();
+  ASSERT_EQ(plain.kernels.size(), trimmed.kernels.size());
+  for (std::size_t k = 0; k < trimmed.kernels.size(); ++k) {
+    const KernelTrace& t = *trimmed.kernels[k];
+    const KernelTrace& p = *plain.kernels[k];
+    for (std::size_t v = 0; v < t.num_variants(); ++v) {
+      for (const WarpTrace& w : t.variant(v).warps) {
+        EXPECT_EQ(w.records().capacity(), w.records().size());
+        EXPECT_EQ(w.addr_offsets().capacity(), w.addr_offsets().size());
+        EXPECT_EQ(w.addr_pool().capacity(), w.addr_pool().size());
+      }
+    }
+    EXPECT_EQ(FingerprintKernel(t), FingerprintKernel(p)) << k;
+    EXPECT_EQ(t.TotalInstrs(), p.TotalInstrs()) << k;
+    EXPECT_EQ(t.TraceBytes(), p.TraceBytes()) << k;
+  }
+  const SimResult want = RunSimulation(plain, cfg, SimLevel::kSwiftSimMemory);
+  const SimResult got = RunSimulation(trimmed, cfg, SimLevel::kSwiftSimMemory);
+  EXPECT_EQ(got.total_cycles, want.total_cycles);
+  EXPECT_EQ(got.instructions, want.instructions);
+  EXPECT_EQ(got.metrics, want.metrics);
+}
+
 TEST(TraceCompact, ParallelBuildMatchesSerialBuild) {
   // Per-variant Rngs are independent, so ThreadPool generation must be a
   // pure reordering: fingerprints (which walk in variant order) agree.
