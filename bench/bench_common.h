@@ -14,6 +14,7 @@
 #include "config/gpu_config.h"
 #include "sim/gpu_model.h"
 #include "sim/model_select.h"
+#include "swiftsim/fault_inject.h"
 #include "trace/kernel.h"
 #include "workloads/workload.h"
 
@@ -88,7 +89,6 @@ struct AppRun {
   Cycle cycles = 0;
   double wall_seconds = 0;
   std::uint64_t instructions = 0;
-  std::uint64_t reservation_fails = 0;
   std::uint64_t cycles_skipped = 0;  // driver cycles elided by the calendar
   std::uint64_t skip_jumps = 0;      // wake events dispatched via jumps
   std::uint64_t memo_hits = 0;       // launches replayed from the MemoCache
@@ -96,10 +96,12 @@ struct AppRun {
   std::uint64_t memo_cycles_avoided = 0;  // simulated cycles replay elided
 };
 
-/// Runs one app at one level (serial). With `opt` given, arms the fault
-/// plan named by --fault-plan and converts failures into the AppRun's
-/// status/error fields instead of propagating (the batch completes).
-AppRun RunOne(const Application& app, const GpuConfig& cfg, SimLevel level);
+/// Runs one app at one level through the run pipeline (serial), with
+/// `plan` armed. A failure becomes the AppRun's status and error; the
+/// bench carries on.
+AppRun RunOne(const Application& app, const GpuConfig& cfg, SimLevel level,
+              const FaultPlan* plan = nullptr);
+/// As above with the plan named by --fault-plan, if any.
 AppRun RunOne(const Application& app, const GpuConfig& cfg, SimLevel level,
               const BenchOptions& opt);
 

@@ -7,12 +7,13 @@
 // 82.6x / 211.2x. This bench reproduces the same decomposition on this
 // machine; the parallel factor scales with the available cores
 // (hardware_concurrency here, 50 threads on the paper's 2-socket server).
+#include <chrono>
 #include <cstdio>
-#include <numeric>
 
 #include "bench_common.h"
 #include "common/stats.h"
 #include "config/presets.h"
+#include "swiftsim/memo_cache.h"
 #include "swiftsim/parallel.h"
 
 int main(int argc, char** argv) {
@@ -21,40 +22,51 @@ int main(int argc, char** argv) {
   const BenchOptions opt = ParseOptions(argc, argv, /*default_scale=*/0.25);
   PrintHeader("Figure 5: speedup contribution analysis", opt);
 
-  const GpuConfig gpu = Rtx2080TiConfig();
+  GpuConfig gpu = Rtx2080TiConfig();
+  gpu.memo.enabled = opt.memo;
   const auto apps = BuildApps(opt);
 
+  // Every timed stage starts from empty memo and profile caches, so no
+  // stage replays launches or pre-passes an earlier stage simulated, and
+  // every stage is timed over the same batch window.
+  const auto cold = [] {
+    MemoCache::Global().Clear();
+    ProfileCache::Global().Clear();
+  };
+  const auto batch = [&](SimLevel level, unsigned threads) {
+    cold();
+    return RunAppsParallel(apps, gpu, level, threads);
+  };
+
   // Stage 1: single-thread wall times for the three serial simulators.
-  double wall_detailed = 0, wall_basic = 0, wall_memory = 0;
+  const ParallelBatchResult d1 = batch(SimLevel::kDetailed, 1);
+  const ParallelBatchResult b1 = batch(SimLevel::kSwiftSimBasic, 1);
+  const ParallelBatchResult m1 = batch(SimLevel::kSwiftSimMemory, 1);
   std::vector<double> sp_basic_1t, sp_mem_1t;
-  for (const Application& app : apps) {
-    const AppRun d = RunOne(app, gpu, SimLevel::kDetailed);
-    const AppRun b = RunOne(app, gpu, SimLevel::kSwiftSimBasic);
-    const AppRun m = RunOne(app, gpu, SimLevel::kSwiftSimMemory);
-    wall_detailed += d.wall_seconds;
-    wall_basic += b.wall_seconds;
-    wall_memory += m.wall_seconds;
-    sp_basic_1t.push_back(d.wall_seconds / b.wall_seconds);
-    sp_mem_1t.push_back(d.wall_seconds / m.wall_seconds);
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const double d = d1.results[i].wall_seconds;
+    sp_basic_1t.push_back(d / b1.results[i].wall_seconds);
+    sp_mem_1t.push_back(d / m1.results[i].wall_seconds);
   }
   const double basic_1t = GeoMean(sp_basic_1t);
   const double mem_1t = GeoMean(sp_mem_1t);
 
   // Stage 2: parallel simulation. Application-level parallelism (the
   // paper's "simulate applications concurrently") for both simulators.
-  const ParallelBatchResult pb =
-      RunAppsParallel(apps, gpu, SimLevel::kSwiftSimBasic, opt.threads);
-  const ParallelBatchResult pm =
-      RunAppsParallel(apps, gpu, SimLevel::kSwiftSimMemory, opt.threads);
-  const double par_basic = wall_basic / pb.wall_seconds;
-  const double par_mem = wall_memory / pm.wall_seconds;
+  const ParallelBatchResult bn = batch(SimLevel::kSwiftSimBasic, opt.threads);
+  const ParallelBatchResult mn = batch(SimLevel::kSwiftSimMemory, opt.threads);
+  const double par_basic = b1.wall_seconds / bn.wall_seconds;
+  const double par_mem = m1.wall_seconds / mn.wall_seconds;
 
   // Extra: SM-level parallelism, unique to the analytical-memory design
   // (SMs share no mutable state).
-  double wall_sm_par = 0;
+  cold();
+  const auto t0 = std::chrono::steady_clock::now();
   for (const Application& app : apps) {
-    wall_sm_par += RunSmParallelMemory(app, gpu, opt.threads).wall_seconds;
+    RunSmParallelMemory(app, gpu, opt.threads);
   }
+  const auto t1 = std::chrono::steady_clock::now();
+  const double wall_sm_par = std::chrono::duration<double>(t1 - t0).count();
 
   std::printf("-- decomposition (geomean; paper: 14.5x -> x2.7 -> x5) --\n");
   std::printf("swift-sim-basic  single-thread speedup : %6.1fx (paper 14.5x)\n",
@@ -67,7 +79,7 @@ int main(int argc, char** argv) {
               "memory %4.2fx (paper ~5x at 50 threads)\n",
               opt.threads, par_basic, par_mem);
   std::printf("sm-level parallel factor (memory only)  : %6.2fx\n",
-              wall_memory / wall_sm_par);
+              m1.wall_seconds / wall_sm_par);
   std::printf("total speedup with parallelism          : basic %5.1fx "
               "(paper 82.6x), memory %5.1fx (paper 211.2x)\n",
               basic_1t * par_basic, mem_1t * par_mem);

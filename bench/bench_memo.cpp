@@ -12,10 +12,8 @@
 //   memo-warm  second run in the same process: profile and every launch
 //              served from the caches
 //
-// A second section exercises the opt-in kDetailed convergence mode and
-// checks the replayed total stays within the configured epsilon of the
-// fully simulated run. Writes results/BENCH_memo.json unless --json= says
-// otherwise; exits non-zero on any exactness or accuracy violation.
+// Writes results/BENCH_memo.json unless --json= says otherwise; exits
+// non-zero on any exactness violation.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -94,34 +92,6 @@ int main(int argc, char** argv) {
                   app.name.c_str(),
                   static_cast<unsigned long long>(cold.memo_hits),
                   static_cast<unsigned long long>(warm.memo_misses));
-      ok = false;
-    }
-  }
-
-  if (opt.memo) {
-    // Opt-in convergence mode at the cycle-accurate baseline: simulate
-    // the first few repeats, replay the converged tail, and stay within
-    // epsilon of the fully simulated total.
-    GpuConfig conv_cfg = memo_cfg;
-    conv_cfg.memo.detailed_convergence = true;
-    const Application base = BuildApps(opt).front();
-    const Application app = RepeatLaunches(base, 6);
-    const AppRun fresh = RunOne(app, fresh_cfg, SimLevel::kDetailed);
-    ClearGlobalCaches();
-    const AppRun conv = RunOne(app, conv_cfg, SimLevel::kDetailed);
-    const double dev = ErrPct(conv.cycles, fresh.cycles);
-    std::printf("convergence (kDetailed, %s x6): fresh=%llu replayed=%llu "
-                "dev=%.3f%% hits=%llu speedup=%.1fx\n",
-                base.name.c_str(),
-                static_cast<unsigned long long>(fresh.cycles),
-                static_cast<unsigned long long>(conv.cycles), dev,
-                static_cast<unsigned long long>(conv.memo_hits),
-                Speedup(fresh.wall_seconds, conv.wall_seconds));
-    records.push_back(ToJsonRun(fresh, "detailed+fresh", /*threads=*/1));
-    records.push_back(ToJsonRun(conv, "detailed+converged", /*threads=*/1));
-    if (dev > 100.0 * conv_cfg.memo.convergence_epsilon) {
-      std::printf("ERROR: convergence deviation %.3f%% exceeds epsilon\n",
-                  dev);
       ok = false;
     }
   }

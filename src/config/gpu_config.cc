@@ -144,11 +144,6 @@ void GpuConfig::Validate() const {
            "dram closed-row latency must be >= row-hit latency");
   SS_CHECK(dram.queue_depth > 0, "dram queue depth must be positive");
   SS_CHECK(shared_mem_banks > 0, "shared_mem_banks must be positive");
-  SS_CHECK(memo.convergence_min_repeats >= 2,
-           "memo.convergence_min_repeats must be at least 2 (convergence "
-           "compares consecutive launches)");
-  SS_CHECK(memo.convergence_epsilon >= 0,
-           "memo.convergence_epsilon must be non-negative");
   SS_CHECK(watchdog.wall_seconds >= 0,
            "watchdog.wall_seconds must be non-negative");
 }
@@ -294,12 +289,6 @@ GpuConfig GpuConfig::FromIni(const IniFile& ini, GpuConfig base) {
       "effects.dram_latency_extra", c.effects.dram_latency_extra));
   c.cycle_skip = ini.GetBool("sim.cycle_skip", c.cycle_skip);
   c.memo.enabled = ini.GetBool("memo.enabled", c.memo.enabled);
-  c.memo.detailed_convergence =
-      ini.GetBool("memo.detailed_convergence", c.memo.detailed_convergence);
-  c.memo.convergence_min_repeats = static_cast<unsigned>(ini.GetUint(
-      "memo.convergence_min_repeats", c.memo.convergence_min_repeats));
-  c.memo.convergence_epsilon =
-      ini.GetDouble("memo.convergence_epsilon", c.memo.convergence_epsilon);
   c.memo.max_entries = ini.GetUint("memo.max_entries", c.memo.max_entries);
   c.memo.max_bytes = ini.GetUint("memo.max_bytes", c.memo.max_bytes);
   c.trace.cache_dir = ini.GetString("trace.cache_dir", c.trace.cache_dir);
@@ -371,10 +360,6 @@ std::string GpuConfig::ToIniString() const {
      << "cycle_skip = " << (cycle_skip ? "true" : "false") << "\n";
   os << "[memo]\n"
      << "enabled = " << (memo.enabled ? "true" : "false") << "\n"
-     << "detailed_convergence = "
-     << (memo.detailed_convergence ? "true" : "false") << "\n"
-     << "convergence_min_repeats = " << memo.convergence_min_repeats << "\n"
-     << "convergence_epsilon = " << memo.convergence_epsilon << "\n"
      << "max_entries = " << memo.max_entries << "\n"
      << "max_bytes = " << memo.max_bytes << "\n";
   os << "[trace]\n"

@@ -119,26 +119,18 @@ struct SiliconEffects {
   unsigned dram_latency_extra = 45;      // cycles added to each channel
 };
 
-/// Cross-launch memoization knobs (DESIGN.md §10). `enabled` gates only
-/// the exact reuse layers: launch replay at the analytical-memory level
-/// and the pre-pass profile caches, both of which reproduce fresh results
-/// bit-identically. Replay at the cycle-accurate-memory levels is an
-/// approximation (the persistent L2 makes repeated launches genuinely
-/// differ) and therefore needs the separate `detailed_convergence` opt-in:
-/// the first `convergence_min_repeats` launches of a kernel are simulated,
-/// and replay starts only once consecutive launches agree within
-/// `convergence_epsilon` relative cycles.
 /// Columnar trace frontend knobs (DESIGN.md §14).
 struct TraceConfig {
   std::string cache_dir;       // on-disk compact trace cache; "" = off
   bool parallel_build = true;  // per-variant generation on the shared pool
 };
 
+/// Cross-launch memoization knobs (DESIGN.md §10). `enabled` gates the
+/// exact reuse layers: launch replay at the analytical-memory level and
+/// the pre-pass profile caches, both of which reproduce fresh results
+/// bit-identically. The cycle-accurate-memory levels never replay.
 struct MemoConfig {
   bool enabled = true;
-  bool detailed_convergence = false;
-  unsigned convergence_min_repeats = 3;
-  double convergence_epsilon = 0.01;
   // Eviction caps for the process-global caches (DESIGN.md §10/§11): 0 =
   // unbounded. `max_entries` bounds both the launch-record cache and the
   // profile cache by entry count; `max_bytes` additionally bounds the

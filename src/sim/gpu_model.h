@@ -50,6 +50,12 @@ struct SimResult {
   std::vector<KernelResult> kernels;
   std::vector<DegradeEvent> degrades;
   std::map<std::string, std::uint64_t> metrics;
+
+  /// metrics[name], or 0 when the run never registered it.
+  std::uint64_t Metric(const std::string& name) const {
+    const auto it = metrics.find(name);
+    return it != metrics.end() ? it->second : 0;
+  }
 };
 
 class GpuModel {

@@ -68,15 +68,11 @@ RungStats RunPoint(const std::vector<Application>& apps, const GpuConfig& cfg,
   RungStats s;
   const auto t0 = std::chrono::steady_clock::now();
   for (const Application& app : apps) {
-    const SimResult r = Simulator(app, cfg, level).Run();
+    const SimResult r = RunSimulation(app, cfg, level);
     s.cycles += r.total_cycles;
-    const auto metric = [&r](const char* name) -> std::uint64_t {
-      const auto it = r.metrics.find(name);
-      return it != r.metrics.end() ? it->second : 0;
-    };
-    s.memo_hits += metric("memo.hits");
-    s.memo_misses += metric("memo.misses");
-    s.memo_cycles_avoided += metric("memo.replayed_cycles");
+    s.memo_hits += r.Metric("memo.hits");
+    s.memo_misses += r.Metric("memo.misses");
+    s.memo_cycles_avoided += r.Metric("memo.replayed_cycles");
   }
   const auto t1 = std::chrono::steady_clock::now();
   s.wall = std::chrono::duration<double>(t1 - t0).count();

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -49,49 +48,23 @@ void MemoCache::EnforceLimitsLocked() {
 std::optional<LaunchRecord> MemoCache::TryReplay(const MemoKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
-  if (it == entries_.end() || !it->second.ready) return std::nullopt;
+  if (it == entries_.end()) return std::nullopt;
   ++it->second.replays;
   it->second.last_use = ++use_clock_;
   return it->second.rec;
 }
 
-void MemoCache::RecordLaunch(const MemoKey& key, LaunchRecord rec,
-                             bool exact, unsigned min_repeats,
-                             double epsilon) {
+void MemoCache::RecordLaunch(const MemoKey& key, LaunchRecord rec) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = entries_[key];
-  total_bytes_ -= e.approx_bytes;
+  const auto [it, inserted] = entries_.try_emplace(key);
+  Entry& e = it->second;
   e.last_use = ++use_clock_;
-  const auto finish = [&] {
+  if (inserted) {
+    e.rec = std::move(rec);
     e.approx_bytes = ApproxBytes(key, e);
     total_bytes_ += e.approx_bytes;
-    EnforceLimitsLocked();
-  };
-  if (e.ready) {  // already promoted (e.g. a racing driver)
-    finish();
-    return;
   }
-  ++e.simulated;
-  if (exact) {
-    e.rec = std::move(rec);
-    e.ready = true;
-    finish();
-    return;
-  }
-  // Convergence mode: promote once the last two simulated launches agree
-  // within epsilon relative cycles (and at least min_repeats ran). The
-  // promoted record is the latest launch — the converged steady state.
-  const bool converged =
-      e.simulated >= min_repeats && e.prev_cycles > 0 &&
-      std::fabs(static_cast<double>(rec.cycles) -
-                static_cast<double>(e.prev_cycles)) <=
-          epsilon * static_cast<double>(e.prev_cycles);
-  e.prev_cycles = rec.cycles;
-  if (converged) {
-    e.rec = std::move(rec);
-    e.ready = true;
-  }
-  finish();
+  EnforceLimitsLocked();
 }
 
 void MemoCache::SetLimits(std::uint64_t max_entries, std::uint64_t max_bytes) {
@@ -144,7 +117,6 @@ void MemoCache::SaveToFile(const std::string& path) const {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& [key, entry] : entries_) {
-        if (!entry.ready) continue;
         out << key.kernel_fp.hi << " " << key.kernel_fp.lo << " "
             << key.cfg_hash << " " << key.context << " "
             << static_cast<unsigned>(key.level) << " " << entry.rec.cycles
@@ -178,7 +150,6 @@ void MemoCache::LoadFromFile(const std::string& path) {
   while (in >> key.kernel_fp.hi >> key.kernel_fp.lo >> key.cfg_hash >>
          key.context >> level) {
     Entry entry;
-    entry.ready = true;
     SS_CHECK(in >> entry.rec.cycles >> entry.rec.instructions >> ndeltas,
              "truncated memo cache file '" + path + "'");
     key.level = static_cast<std::uint8_t>(level);
@@ -290,99 +261,6 @@ void ProfileCache::Clear() {
 ProfileCache& ProfileCache::Global() {
   static ProfileCache* cache = new ProfileCache();
   return *cache;
-}
-
-bool MemoReplayApplicable(const GpuConfig& cfg, SimLevel level) {
-  if (SelectionFor(level).mem == MemModelKind::kAnalytical) return true;
-  return cfg.memo.detailed_convergence;
-}
-
-SimResult RunApplicationMemo(const Application& app, const GpuConfig& cfg,
-                             SimLevel level, const MemProfile* profile,
-                             MemoCache& cache) {
-  cache.SetLimits(cfg.memo.max_entries, cfg.memo.max_bytes);
-  const std::uint64_t evictions_before = cache.evictions();
-  GpuModel model(cfg, SelectionFor(level), profile);
-
-  struct {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t replayed_cycles = 0;
-    std::uint64_t replayed_instrs = 0;
-  } stats;
-  model.metrics().Register("memo", "hits", &stats.hits);
-  model.metrics().Register("memo", "misses", &stats.misses);
-  model.metrics().Register("memo", "replayed_cycles",
-                           &stats.replayed_cycles);
-  model.metrics().Register("memo", "replayed_instrs",
-                           &stats.replayed_instrs);
-
-  const bool exact = SelectionFor(level).mem == MemModelKind::kAnalytical;
-  MemoKey key;
-  key.cfg_hash = cfg.CanonicalHash();
-  key.context = FingerprintApplication(app).Fold();
-  key.level = static_cast<std::uint8_t>(level);
-
-  SimResult result;
-  result.app = app.name;
-  result.kernels.reserve(app.kernels.size());
-  std::map<std::string, std::uint64_t> replayed_deltas;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& kernel : app.kernels) {
-    key.kernel_fp = FingerprintKernel(*kernel);
-
-    if (auto rec = cache.TryReplay(key)) {
-      model.SyncClock(model.now() + rec->cycles);
-      KernelResult kr;
-      kr.name = kernel->info().name;
-      kr.cycles = rec->cycles;
-      kr.instructions = rec->instructions;
-      result.kernels.push_back(kr);
-      for (const auto& [name, value] : rec->metric_deltas) {
-        replayed_deltas[name] += value;
-      }
-      ++stats.hits;
-      stats.replayed_cycles += rec->cycles;
-      stats.replayed_instrs += rec->instructions;
-      continue;
-    }
-    ++stats.misses;
-    const auto before = model.metrics().Snapshot();
-    const std::uint64_t instrs_before = model.TotalIssuedInstrs();
-    const Cycle cycles = model.RunKernel(*kernel);
-    KernelResult kr;
-    kr.name = kernel->info().name;
-    kr.cycles = cycles;
-    kr.instructions = model.TotalIssuedInstrs() - instrs_before;
-    result.kernels.push_back(kr);
-
-    LaunchRecord rec;
-    rec.cycles = cycles;
-    rec.instructions = kr.instructions;
-    const auto after = model.metrics().Snapshot();
-    for (const auto& [name, value] : after) {
-      if (name.rfind("memo.", 0) == 0) continue;  // driver, not launch
-      const auto bit = before.find(name);
-      const std::uint64_t delta =
-          value - (bit != before.end() ? bit->second : 0);
-      if (delta != 0) rec.metric_deltas.emplace_back(name, delta);
-    }
-    cache.RecordLaunch(key, std::move(rec), exact,
-                       cfg.memo.convergence_min_repeats,
-                       cfg.memo.convergence_epsilon);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  result.total_cycles = model.now();
-  result.instructions = model.TotalIssuedInstrs() + stats.replayed_instrs;
-  result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.metrics = model.metrics().Snapshot();
-  for (const auto& [name, value] : replayed_deltas) {
-    result.metrics[name] += value;
-  }
-  // Eviction telemetry as a per-run delta: the cache is process-global,
-  // so absolute counts would leak earlier runs into this result.
-  result.metrics["memo.evictions"] = cache.evictions() - evictions_before;
-  return result;
 }
 
 }  // namespace swiftsim

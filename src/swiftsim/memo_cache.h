@@ -6,22 +6,21 @@
 //
 //   MemoCache    — per-launch simulation results keyed by (kernel
 //                  fingerprint, canonical config hash, application
-//                  context, SimLevel). At the analytical-memory level a
-//                  launch's cycles depend only on that key (the
-//                  contention pipes drain by kernel end and the block
-//                  scheduler's rotor only permutes homogeneous SMs), so
-//                  replay is exact: bit-identical totals, per-kernel
-//                  results and aggregated metrics. At cycle-accurate-
-//                  memory levels the persistent L2 makes launches
-//                  genuinely differ, so replay needs the opt-in
-//                  convergence mode: simulate the first K repeats, replay
-//                  once consecutive launches agree within epsilon.
+//                  context, SimLevel). The run pipeline consults it only
+//                  at the analytical-memory level, where a launch's
+//                  cycles depend only on that key (the contention pipes
+//                  drain by kernel end and the block scheduler's rotor
+//                  only permutes homogeneous SMs), so replay is exact:
+//                  bit-identical totals, per-kernel results and
+//                  aggregated metrics. At cycle-accurate-memory levels
+//                  the persistent L2 makes launches genuinely differ, and
+//                  nothing is replayed.
 //   ProfileCache — pre-pass MemProfiles keyed by (application
 //                  fingerprint, cache-geometry hash), shared across
 //                  repeated Simulator constructions and across config
 //                  points that differ only in timing parameters.
 //
-// Both caches are process-global, mutex-protected and exact-by-default;
+// Both caches are process-global, mutex-protected and exact;
 // cfg.memo.enabled = false (--no-memo) bypasses every layer.
 #pragma once
 
@@ -35,9 +34,8 @@
 #include <vector>
 
 #include "analytical/cache_prepass.h"
+#include "common/types.h"
 #include "config/gpu_config.h"
-#include "sim/gpu_model.h"
-#include "sim/model_select.h"
 #include "trace/fingerprint.h"
 #include "trace/kernel.h"
 
@@ -71,16 +69,13 @@ struct LaunchRecord {
 
 class MemoCache {
  public:
-  /// Returns the recorded launch if the entry is replay-ready. Bumps the
-  /// entry's replay count and recency (eviction inputs).
+  /// Returns the recorded launch, if any. Bumps the entry's replay count
+  /// and recency (eviction inputs).
   std::optional<LaunchRecord> TryReplay(const MemoKey& key);
 
-  /// Records one simulated launch. `exact` entries become replayable
-  /// immediately; otherwise convergence bookkeeping promotes the entry
-  /// after at least `min_repeats` simulated launches whose last two cycle
-  /// counts agree within `epsilon` relative.
-  void RecordLaunch(const MemoKey& key, LaunchRecord rec, bool exact,
-                    unsigned min_repeats, double epsilon);
+  /// Records one simulated launch; it is replayable immediately. An entry
+  /// already recorded (e.g. by a racing driver) keeps its record.
+  void RecordLaunch(const MemoKey& key, LaunchRecord rec);
 
   /// Caps the cache (cfg.memo.max_entries / max_bytes; 0 = unbounded).
   /// When either cap is exceeded after an insert, entries are evicted
@@ -95,8 +90,7 @@ class MemoCache {
   void Clear();
 
   /// Versioned plain-text persistence for cross-run reuse (DSE sweeps
-  /// spanning processes). Save writes replay-ready entries; Load merges
-  /// them in (existing entries win). Load throws SimError on unreadable
+  /// spanning processes). Save writes every entry; Load merges them in (existing entries win). Load throws SimError on unreadable
   /// files or format mismatches.
   void SaveToFile(const std::string& path) const;
   void LoadFromFile(const std::string& path);
@@ -107,9 +101,6 @@ class MemoCache {
  private:
   struct Entry {
     LaunchRecord rec;
-    std::uint64_t simulated = 0;
-    Cycle prev_cycles = 0;
-    bool ready = false;
     // Eviction inputs (SetLimits): replay frequency, recency, footprint.
     std::uint64_t replays = 0;
     std::uint64_t last_use = 0;
@@ -184,20 +175,5 @@ class ProfileCache {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
 };
-
-/// True when launch replay may be consulted at `level` under `cfg`:
-/// always exact at the analytical-memory level; cycle-accurate-memory
-/// levels additionally require the convergence-mode opt-in.
-bool MemoReplayApplicable(const GpuConfig& cfg, SimLevel level);
-
-/// Serial memoizing application driver: GpuModel::RunApplication with a
-/// per-launch cache consultation. Cache hits advance the model clock by
-/// the recorded cycles instead of simulating; misses simulate and record.
-/// Registers replay telemetry under "memo.*" in the model's gatherer:
-/// hits, misses, replayed_cycles (cycles of simulation avoided) and
-/// replayed_instrs. `profile` as in GpuModel's constructor.
-SimResult RunApplicationMemo(const Application& app, const GpuConfig& cfg,
-                             SimLevel level, const MemProfile* profile,
-                             MemoCache& cache);
 
 }  // namespace swiftsim

@@ -9,105 +9,50 @@
 #include "common/thread_pool.h"
 #include "sim/metrics.h"
 #include "swiftsim/memo_cache.h"
-#include "swiftsim/simulator.h"
 
 namespace swiftsim {
 
-const char* ToString(AppStatus status) {
-  switch (status) {
-    case AppStatus::kOk: return "ok";
-    case AppStatus::kDegraded: return "degraded";
-    case AppStatus::kTimedOut: return "timeout";
-    case AppStatus::kFailed: return "failed";
-  }
-  return "unknown";
-}
+namespace {
 
-ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,
-                                    const GpuConfig& cfg, SimLevel level,
-                                    unsigned num_threads) {
+/// Runs every app on the shared pool. `isolate` keeps each failure in the
+/// app's AppOutcome; otherwise the first failure is rethrown as thrown.
+ParallelBatchResult RunBatch(const std::vector<Application>& apps,
+                             const GpuConfig& cfg, SimLevel level,
+                             unsigned num_threads, const RunOptions& options,
+                             bool isolate) {
   SS_CHECK(num_threads > 0, "need at least one worker thread");
   ParallelBatchResult batch;
   batch.results.resize(apps.size());
+  if (isolate) batch.statuses.resize(apps.size());
   const auto t0 = std::chrono::steady_clock::now();
   ThreadPool& pool = ThreadPool::Shared();
   pool.ParallelFor(apps.size(), num_threads, [&](std::size_t i) {
-    batch.results[i] = RunSimulation(apps[i], cfg, level);
+    RunOutcome run = Run({apps[i], cfg, level, options});
+    if (!isolate) {
+      batch.results[i] = run.TakeOrThrow();
+      return;
+    }
+    batch.results[i] = std::move(run.result);
+    batch.statuses[i] = std::move(run.outcome);
   });
   const auto t1 = std::chrono::steady_clock::now();
   batch.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return batch;
-}
-
-namespace {
-
-/// One isolated app run: injection arming, bounded retry, failure→outcome
-/// classification. Never throws when isolation is on.
-void RunOneIsolated(const Application& app, const GpuConfig& cfg,
-                    SimLevel level, const BatchOptions& options,
-                    SimResult* result, AppOutcome* outcome) {
-  for (unsigned attempt = 0; ; ++attempt) {
-    outcome->attempts = attempt + 1;
-    try {
-      // Trace-ingestion faults apply per attempt so a corrupt plan fails
-      // loudly here, inside the isolation boundary.
-      const Application* target = &app;
-      Application faulted;
-      if (options.fault_plan != nullptr && options.fault_plan->AnyTrace()) {
-        faulted = InjectTraceFaults(app, *options.fault_plan);
-        target = &faulted;
-      }
-      Simulator sim(*target, cfg, level);
-      sim.ArmFaultPlan(options.fault_plan);
-      *result = sim.Run();
-      outcome->status = result->degrades.empty() ? AppStatus::kOk
-                                                 : AppStatus::kDegraded;
-      outcome->error.clear();
-      return;
-    } catch (const SimError& e) {
-      outcome->error = e.what();
-      outcome->status = AppStatus::kFailed;
-      if (const auto* hang = dynamic_cast<const SimHangError*>(&e)) {
-        outcome->dump_path = hang->dump_path();
-        if (hang->kind() == SimHangError::Kind::kWallClock) {
-          outcome->status = AppStatus::kTimedOut;
-          // A wall budget is spent; retrying would only burn another one.
-          return;
-        }
-      }
-      if (attempt >= options.max_retries) return;
-    }
-  }
 }
 
 }  // namespace
 
 ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,
                                     const GpuConfig& cfg, SimLevel level,
+                                    unsigned num_threads) {
+  return RunBatch(apps, cfg, level, num_threads, {}, /*isolate=*/false);
+}
+
+ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,
+                                    const GpuConfig& cfg, SimLevel level,
                                     unsigned num_threads,
-                                    const BatchOptions& options) {
-  SS_CHECK(num_threads > 0, "need at least one worker thread");
-  if (!options.isolate_failures) {
-    SS_CHECK(options.fault_plan == nullptr && options.max_retries == 0,
-             "batch fault injection and retry require isolate_failures");
-    return RunAppsParallel(apps, cfg, level, num_threads);
-  }
-  ParallelBatchResult batch;
-  batch.results.resize(apps.size());
-  batch.statuses.resize(apps.size());
-  const auto t0 = std::chrono::steady_clock::now();
-  ThreadPool& pool = ThreadPool::Shared();
-  pool.ParallelFor(apps.size(), num_threads, [&](std::size_t i) {
-    // Name the result even when the first kernel never completes, so
-    // failed entries are attributable in reports.
-    batch.results[i].app = apps[i].name;
-    batch.results[i].simulator = ToString(level);
-    RunOneIsolated(apps[i], cfg, level, options, &batch.results[i],
-                   &batch.statuses[i]);
-  });
-  const auto t1 = std::chrono::steady_clock::now();
-  batch.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  return batch;
+                                    const RunOptions& options) {
+  return RunBatch(apps, cfg, level, num_threads, options, /*isolate=*/true);
 }
 
 namespace {

@@ -4,12 +4,10 @@
 #include <chrono>
 #include <cmath>
 
-#include "analytical/cache_prepass.h"
 #include "common/bitutil.h"
 #include "common/status.h"
 #include "core/cta_allocator.h"
-#include "sim/gpu_model.h"
-#include "swiftsim/memo_cache.h"
+#include "swiftsim/simulator.h"
 
 namespace swiftsim {
 
@@ -36,7 +34,6 @@ SampledResult RunSampledSimulation(const Application& app,
                                    double cta_fraction) {
   SS_CHECK(cta_fraction > 0.0 && cta_fraction <= 1.0,
            "cta_fraction must be in (0, 1]");
-  const ModelSelection sel = SelectionFor(level);
   const auto t0 = std::chrono::steady_clock::now();
 
   // Build the sampled application first (the pre-pass for analytical
@@ -62,23 +59,15 @@ SampledResult RunSampledSimulation(const Application& app,
     result.sampled_ctas += take;
   }
 
-  std::shared_ptr<const MemProfile> profile;
-  if (sel.mem == MemModelKind::kAnalytical) {
-    // The sampled prefix is itself a stable application: sweeps that
-    // re-sample the same workload reuse its pre-pass profile.
-    profile = cfg.memo.enabled
-                  ? ProfileCache::Global().GetOrBuild(sampled, cfg).profile
-                  : std::make_shared<const MemProfile>(
-                        BuildMemProfile(sampled, cfg));
-  }
-  GpuModel model(cfg, sel, profile.get());
+  // The sampled prefix is itself a stable application: sweeps that
+  // re-sample the same workload reuse its pre-pass profile.
+  const SimResult run = RunSimulation(sampled, cfg, level);
   Cycle estimated = 0;
-  for (std::size_t k = 0; k < sampled.kernels.size(); ++k) {
-    const Cycle cycles = model.RunKernel(*sampled.kernels[k]);
-    estimated += static_cast<Cycle>(
-        std::llround(static_cast<double>(cycles) * scale_factors[k]));
+  for (std::size_t k = 0; k < run.kernels.size(); ++k) {
+    estimated += static_cast<Cycle>(std::llround(
+        static_cast<double>(run.kernels[k].cycles) * scale_factors[k]));
   }
-  result.simulated_cycles = model.now();
+  result.simulated_cycles = run.total_cycles;
   result.estimated_cycles = estimated;
   const auto t1 = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -43,11 +43,6 @@ const std::set<std::string>& KnownConfigKeys() {
   return *keys;
 }
 
-std::uint64_t MetricOrZero(const SimResult& res, const std::string& name) {
-  auto it = res.metrics.find(name);
-  return it == res.metrics.end() ? 0 : it->second;
-}
-
 }  // namespace
 
 const char* ToString(ErrorCode code) {
@@ -474,35 +469,40 @@ void SimulationService::ProcessJob(const std::shared_ptr<PendingJob>& job) {
 }
 
 void SimulationService::RunJob(PendingJob& job, Response* out) {
+  std::shared_ptr<const Application> app;
   try {
-    std::shared_ptr<const Application> app = GetApp(job.job);
-    Application repeated = job.job.iterations > 1
-                               ? RepeatLaunches(*app, job.job.iterations)
-                               : *app;
-
-    Simulator sim(repeated, job.cfg, job.job.level);
-    const SimResult res = sim.Run();
-
-    out->ok = true;
-    out->status = res.degrades.empty() ? "ok" : "degraded";
-    out->cycles = res.total_cycles;
-    out->instructions = res.instructions;
-    out->sim_seconds = res.wall_seconds;
-    out->memo_hits = MetricOrZero(res, "memo.hits");
-    out->memo_misses = MetricOrZero(res, "memo.misses");
-    out->memo_cycles_avoided = MetricOrZero(res, "memo.replayed_cycles");
-    out->degrade_events = res.degrades.size();
-  } catch (const SimHangError& e) {
-    out->ok = false;
-    out->error = ErrorCode::kSimTimeout;
-    out->error_message = e.what();
-    out->status = "timeout";
+    app = GetApp(job.job);
   } catch (const std::exception& e) {
     out->ok = false;
     out->error = ErrorCode::kSimFailed;
     out->error_message = e.what();
     out->status = "failed";
+    return;
   }
+  const Application repeated = job.job.iterations > 1
+                                   ? RepeatLaunches(*app, job.job.iterations)
+                                   : *app;
+  const RunOutcome run = Run({repeated, job.cfg, job.job.level});
+  const AppOutcome& outcome = run.outcome;
+  out->ok = run.error == nullptr;
+  if (!out->ok) {
+    // The wire reports every hang, not only a spent wall budget, as a
+    // timeout.
+    const bool timeout = outcome.hang || outcome.status == AppStatus::kTimedOut;
+    out->error = timeout ? ErrorCode::kSimTimeout : ErrorCode::kSimFailed;
+    out->error_message = outcome.error;
+    out->status = timeout ? "timeout" : "failed";
+    return;
+  }
+  const SimResult& res = run.result;
+  out->status = ToString(outcome.status);
+  out->cycles = res.total_cycles;
+  out->instructions = res.instructions;
+  out->sim_seconds = res.wall_seconds;
+  out->memo_hits = res.Metric("memo.hits");
+  out->memo_misses = res.Metric("memo.misses");
+  out->memo_cycles_avoided = res.Metric("memo.replayed_cycles");
+  out->degrade_events = res.degrades.size();
 }
 
 std::shared_ptr<const Application> SimulationService::GetApp(

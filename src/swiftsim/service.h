@@ -149,7 +149,7 @@ struct ServiceOptions {
   std::uint64_t app_cache_entries = 64;  // in-memory built-trace LRU cap
   double default_timeout_sec = 0;  // per-request wall watchdog; 0 = off
   Cycle watchdog_cycles = 0;       // stall-window watchdog; 0 = off
-  bool degrade_on_hang = false;    // analytical fallback via RunResilient
+  bool degrade_on_hang = false;    // analytical fallback (cfg.degrade)
   std::uint64_t memo_max_entries = 0;  // global cache caps; 0 = unbounded
   std::uint64_t memo_max_bytes = 0;
   /// Supervision telemetry snapshot (DESIGN.md §16): filled in by the

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -11,96 +12,128 @@
 
 namespace swiftsim {
 
-Simulator::Simulator(const Application& app, const GpuConfig& cfg,
-                     SimLevel level)
-    : app_(app), cfg_(cfg), level_(level) {
-  if (SelectionFor(level).mem == MemModelKind::kAnalytical) {
-    if (cfg_.memo.enabled) {
-      // Cache-geometry-equal configs and repeated constructions share one
-      // profile; the fetch time (hit or build) is the run's pre-pass cost.
-      ProfileCache::Global().SetMaxEntries(cfg_.memo.max_entries);
-      const ProfileCache::Fetch fetch =
-          ProfileCache::Global().GetOrBuild(app, cfg_);
-      profile_ = fetch.profile;
-      prepass_seconds_ = fetch.seconds;
-    } else {
-      const auto t0 = std::chrono::steady_clock::now();
-      profile_ =
-          std::make_shared<const MemProfile>(BuildMemProfile(app, cfg_));
-      const auto t1 = std::chrono::steady_clock::now();
-      prepass_seconds_ = std::chrono::duration<double>(t1 - t0).count();
-    }
+const char* ToString(AppStatus status) {
+  switch (status) {
+    case AppStatus::kOk: return "ok";
+    case AppStatus::kDegraded: return "degraded";
+    case AppStatus::kTimedOut: return "timeout";
+    case AppStatus::kFailed: return "failed";
   }
+  return "unknown";
 }
 
-SimResult Simulator::Run() {
-  SimResult result;
-  const bool resilient = (fault_plan_ != nullptr && fault_plan_->AnyRuntime()) ||
-                         cfg_.degrade.on_hang || cfg_.degrade.max_retries > 0;
-  if (resilient) {
-    result = RunResilient();
-    result.simulator = ToString(level_);
-    result.wall_seconds += prepass_seconds_;
-    return result;
-  }
-  if (cfg_.memo.enabled && MemoReplayApplicable(cfg_, level_)) {
-    result = RunApplicationMemo(app_, cfg_, level_, profile_.get(),
-                                MemoCache::Global());
-  } else {
-    GpuModel model(cfg_, SelectionFor(level_), profile_.get());
-    result = model.RunApplication(app_);
-  }
-  result.simulator = ToString(level_);
-  // The pre-pass is part of Swift-Sim-Memory's cost; charge it to the run.
-  result.wall_seconds += prepass_seconds_;
-  return result;
+SimResult RunOutcome::TakeOrThrow() {
+  if (error) std::rethrow_exception(error);
+  return std::move(result);
 }
 
-SimResult Simulator::RunResilient() {
-  SimResult result;
-  result.app = app_.name;
-  result.kernels.reserve(app_.kernels.size());
-  const auto t0 = std::chrono::steady_clock::now();
+namespace {
 
-  const ModelSelection sel = SelectionFor(level_);
-  std::unique_ptr<FaultInjector> injector;
-  if (fault_plan_ != nullptr && fault_plan_->AnyRuntime()) {
-    injector = std::make_unique<FaultInjector>(*fault_plan_, cfg_.num_sms);
-  }
-  auto make_model = [&]() {
-    auto m = std::make_unique<GpuModel>(cfg_, sel, profile_.get());
-    if (injector) m->ArmFaults(injector.get());
+/// Replay telemetry, registered under "memo.*" in the model's gatherer.
+struct MemoStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t replayed_cycles = 0;
+  std::uint64_t replayed_instrs = 0;
+};
+
+/// The one per-kernel loop. Each kernel is replayed from the MemoCache or
+/// simulated; a simulated kernel that throws is retried on a fresh model
+/// (cfg.degrade.max_retries) and then, with cfg.degrade.on_hang, finished
+/// at the analytical-memory level (DESIGN.md §11). Metrics fold across
+/// every model the run used. `profile` as in GpuModel's constructor.
+SimResult RunKernels(const Application& app, const GpuConfig& cfg,
+                     SimLevel level, const MemProfile* profile,
+                     const FaultPlan* plan) {
+  const ModelSelection sel = SelectionFor(level);
+  const bool armed = plan != nullptr && plan->AnyRuntime();
+  const bool resilient =
+      armed || cfg.degrade.on_hang || cfg.degrade.max_retries > 0;
+  // Replay is exact only at the analytical-memory level, and a replayed
+  // launch would dodge injection, retry and degrade.
+  MemoCache* memo = cfg.memo.enabled && !resilient &&
+                            sel.mem == MemModelKind::kAnalytical
+                        ? &MemoCache::Global()
+                        : nullptr;
+
+  std::optional<FaultInjector> injector;
+  if (armed) injector.emplace(*plan, cfg.num_sms);
+  const auto make_model = [&] {
+    auto m = std::make_unique<GpuModel>(cfg, sel, profile);
+    if (injector) m->ArmFaults(&*injector);
     return m;
   };
-  // Metrics accumulate across replacement models so a run that degraded
-  // still reports its full counter totals.
+  // The first fold takes the snapshot as is, so a single-model run pays
+  // for exactly one Snapshot.
   std::map<std::string, std::uint64_t> metrics;
-  auto fold_metrics = [&](const GpuModel& m) {
+  const auto fold_metrics = [&](const GpuModel& m) {
+    if (metrics.empty()) {
+      metrics = m.metrics().Snapshot();
+      return;
+    }
     for (const auto& [key, value] : m.metrics().Snapshot()) {
       metrics[key] += value;
     }
   };
 
+  SimResult result;
+  result.app = app.name;
+  result.simulator = ToString(level);
+  result.kernels.reserve(app.kernels.size());
   auto model = make_model();
-  Cycle clock = 0;  // clock at the last completed-kernel boundary
-  for (const auto& kernel : app_.kernels) {
-    unsigned attempts = 0;
-    for (;;) {
-      const std::uint64_t before = model->TotalIssuedInstrs();
+
+  MemoStats stats;
+  MemoKey key;
+  std::uint64_t evictions_before = 0;
+  std::map<std::string, std::uint64_t> replayed_deltas;
+  if (memo != nullptr) {
+    memo->SetLimits(cfg.memo.max_entries, cfg.memo.max_bytes);
+    evictions_before = memo->evictions();
+    model->metrics().Register("memo", "hits", &stats.hits);
+    model->metrics().Register("memo", "misses", &stats.misses);
+    model->metrics().Register("memo", "replayed_cycles",
+                              &stats.replayed_cycles);
+    model->metrics().Register("memo", "replayed_instrs",
+                              &stats.replayed_instrs);
+    key.cfg_hash = cfg.CanonicalHash();
+    key.context = FingerprintApplication(app).Fold();
+    key.level = static_cast<std::uint8_t>(level);
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  Cycle clock = 0;  // model clock at the last completed-kernel boundary
+  for (const auto& kernel : app.kernels) {
+    const std::string& name = kernel->info().name;
+    std::map<std::string, std::uint64_t> before;
+    if (memo != nullptr) {
+      key.kernel_fp = FingerprintKernel(*kernel);
+      if (auto rec = memo->TryReplay(key)) {
+        clock += rec->cycles;
+        model->SyncClock(clock);
+        result.kernels.push_back({name, rec->cycles, rec->instructions});
+        for (const auto& [metric, value] : rec->metric_deltas) {
+          replayed_deltas[metric] += value;
+        }
+        ++stats.hits;
+        stats.replayed_cycles += rec->cycles;
+        stats.replayed_instrs += rec->instructions;
+        continue;
+      }
+      ++stats.misses;
+      before = model->metrics().Snapshot();
+    }
+    for (unsigned attempts = 0;; ++attempts) {
+      const std::uint64_t instrs_before = model->TotalIssuedInstrs();
       try {
         const Cycle cycles = model->RunKernel(*kernel);
         result.kernels.push_back(
-            {kernel->info().name, cycles,
-             model->TotalIssuedInstrs() - before});
+            {name, cycles, model->TotalIssuedInstrs() - instrs_before});
         clock = model->now();
         break;
       } catch (const SimError& e) {
-        std::string dump;
-        if (const auto* hang = dynamic_cast<const SimHangError*>(&e)) {
-          dump = hang->dump_path();
-        }
+        if (!resilient) throw;
         fold_metrics(*model);
-        if (attempts++ < cfg_.degrade.max_retries) {
+        if (attempts < cfg.degrade.max_retries) {
           // Bounded retry on a fresh model resumed at the kernel boundary;
           // deterministic faults will recur, transient model-state damage
           // will not.
@@ -108,38 +141,63 @@ SimResult Simulator::RunResilient() {
           model->SyncClock(clock);
           continue;
         }
-        if (!cfg_.degrade.on_hang) throw;
+        if (!cfg.degrade.on_hang) throw;
         // Graceful degradation: finish this kernel analytically (clean
-        // model, no injection — the point is to recover a usable estimate),
-        // record the event, and resume detailed simulation after it.
+        // model, no injection — the point is a usable estimate), record
+        // the event, and resume on a fresh model after it.
         Application one;
-        one.name = app_.name;
+        one.name = app.name;
         one.kernels.push_back(kernel);
-        const MemProfile fallback_profile = BuildMemProfile(one, cfg_);
-        GpuModel ana(cfg_, SelectionFor(SimLevel::kSwiftSimMemory),
+        const MemProfile fallback_profile = BuildMemProfile(one, cfg);
+        GpuModel ana(cfg, SelectionFor(SimLevel::kSwiftSimMemory),
                      &fallback_profile);
         ana.SyncClock(clock);
-        const std::uint64_t ana_before = ana.TotalIssuedInstrs();
         const Cycle cycles = ana.RunKernel(*kernel);
-        result.kernels.push_back(
-            {kernel->info().name, cycles,
-             ana.TotalIssuedInstrs() - ana_before});
+        result.kernels.push_back({name, cycles, ana.TotalIssuedInstrs()});
         clock = ana.now();
         fold_metrics(ana);
-        result.degrades.push_back({kernel->info().name, e.what(), dump});
+        const auto* hang = dynamic_cast<const SimHangError*>(&e);
+        result.degrades.push_back(
+            {name, e.what(), hang != nullptr ? hang->dump_path() : ""});
         model = make_model();
         model->SyncClock(clock);
         break;
       }
     }
+    if (memo != nullptr) {
+      const KernelResult& kr = result.kernels.back();
+      LaunchRecord rec;
+      rec.cycles = kr.cycles;
+      rec.instructions = kr.instructions;
+      for (const auto& [metric, value] : model->metrics().Snapshot()) {
+        if (metric.rfind("memo.", 0) == 0) continue;  // driver, not launch
+        const auto it = before.find(metric);
+        const std::uint64_t delta =
+            value - (it != before.end() ? it->second : 0);
+        if (delta != 0) rec.metric_deltas.emplace_back(metric, delta);
+      }
+      memo->RecordLaunch(key, std::move(rec));
+    }
   }
-  fold_metrics(*model);
-
   const auto t1 = std::chrono::steady_clock::now();
+
   result.total_cycles = clock;
-  for (const auto& kr : result.kernels) result.instructions += kr.instructions;
+  for (const KernelResult& kr : result.kernels) {
+    result.instructions += kr.instructions;
+  }
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  metrics["driver.degrade_events"] = result.degrades.size();
+  fold_metrics(*model);
+  if (memo != nullptr) {
+    for (const auto& [metric, value] : replayed_deltas) {
+      metrics[metric] += value;
+    }
+    // Eviction telemetry as a per-run delta: the cache is process-global,
+    // so absolute counts would leak earlier runs into this result.
+    metrics["memo.evictions"] = memo->evictions() - evictions_before;
+  }
+  if (resilient) {
+    metrics["driver.degrade_events"] = result.degrades.size();
+  }
   if (injector) {
     metrics["fault.responses_delayed"] = injector->delayed();
     metrics["fault.responses_dropped"] = injector->dropped();
@@ -150,9 +208,90 @@ SimResult Simulator::RunResilient() {
   return result;
 }
 
+/// Sorts a failure into `outcome`; returns false when a retry is
+/// pointless (a spent wall budget).
+bool Classify(const std::exception& e, AppOutcome* outcome) {
+  outcome->status = AppStatus::kFailed;
+  outcome->error = e.what();
+  const auto* hang = dynamic_cast<const SimHangError*>(&e);
+  if (hang == nullptr) return true;
+  outcome->hang = true;
+  outcome->dump_path = hang->dump_path();
+  if (hang->kind() != SimHangError::Kind::kWallClock) return true;
+  outcome->status = AppStatus::kTimedOut;
+  return false;
+}
+
+}  // namespace
+
+Simulator::Simulator(const Application& app, const GpuConfig& cfg,
+                     SimLevel level)
+    : app_(app), cfg_(cfg), level_(level) {
+  if (SelectionFor(level).mem != MemModelKind::kAnalytical) return;
+  if (cfg_.memo.enabled) {
+    // Cache-geometry-equal configs and repeated constructions share one
+    // profile; the fetch time (hit or build) is the run's pre-pass cost.
+    ProfileCache::Global().SetMaxEntries(cfg_.memo.max_entries);
+    const ProfileCache::Fetch fetch =
+        ProfileCache::Global().GetOrBuild(app, cfg_);
+    profile_ = fetch.profile;
+    prepass_seconds_ = fetch.seconds;
+  } else {
+    const auto t0 = std::chrono::steady_clock::now();
+    profile_ = std::make_shared<const MemProfile>(BuildMemProfile(app, cfg_));
+    const auto t1 = std::chrono::steady_clock::now();
+    prepass_seconds_ = std::chrono::duration<double>(t1 - t0).count();
+  }
+}
+
+SimResult Simulator::Run() {
+  SimResult result =
+      RunKernels(app_, cfg_, level_, profile_.get(), fault_plan_);
+  // The pre-pass is part of Swift-Sim-Memory's cost; charge it to the run.
+  result.wall_seconds += prepass_seconds_;
+  return result;
+}
+
+RunOutcome Run(const RunSpec& spec) {
+  const FaultPlan* plan = spec.options.fault_plan;
+  RunOutcome out;
+  for (unsigned attempt = 0;; ++attempt) {
+    out.outcome = AppOutcome{};
+    out.outcome.attempts = attempt + 1;
+    try {
+      // Trace-ingestion faults apply per attempt, inside the
+      // classification boundary: a corrupt trace fails here, typed.
+      const Application* app = &spec.app;
+      Application faulted;
+      if (plan != nullptr && plan->AnyTrace()) {
+        faulted = InjectTraceFaults(spec.app, *plan);
+        app = &faulted;
+      }
+      Simulator sim(*app, spec.cfg, spec.level);
+      sim.ArmFaultPlan(plan);
+      out.prepass_s = sim.prepass_seconds();
+      out.result = sim.Run();
+      out.outcome.status = out.result.degrades.empty() ? AppStatus::kOk
+                                                       : AppStatus::kDegraded;
+      out.error = nullptr;
+      return out;
+    } catch (const std::exception& e) {
+      out.error = std::current_exception();
+      if (!Classify(e, &out.outcome) || attempt >= spec.options.retries) {
+        break;
+      }
+    }
+  }
+  // Name the failed result so reports can attribute it.
+  out.result = SimResult{};
+  out.result.app = spec.app.name;
+  out.result.simulator = ToString(spec.level);
+  return out;
+}
+
 SimResult RunSimulation(const Application& app, const GpuConfig& cfg,
                         SimLevel level) {
-  return Simulator(app, cfg, level).Run();
+  return Run({app, cfg, level}).TakeOrThrow();
 }
 
 }  // namespace swiftsim

@@ -8,9 +8,14 @@
 //   kSwiftSimMemory  — Basic + analytical memory model (runs the cache
 //                      pre-pass automatically; its cost is included in the
 //                      reported wall time)
+//
+// Every driver — one-shot runs, batches, benches, the DSE engine and the
+// daemon — goes through Run(RunSpec) (DESIGN.md §7, "Run pipeline").
 #pragma once
 
+#include <exception>
 #include <memory>
+#include <string>
 
 #include "config/gpu_config.h"
 #include "sim/gpu_model.h"
@@ -20,41 +25,85 @@
 
 namespace swiftsim {
 
-/// One-shot simulation of an application. Deterministic for fixed inputs.
+/// Per-application outcome classification (DESIGN.md §11).
+enum class AppStatus {
+  kOk,        // completed on the requested level
+  kDegraded,  // completed, but one or more kernels fell back analytically
+  kTimedOut,  // wall-clock watchdog budget expired
+  kFailed,    // any other failure after exhausting retries
+};
+
+const char* ToString(AppStatus status);
+
+struct AppOutcome {
+  AppStatus status = AppStatus::kOk;
+  bool hang = false;      // a SimHangError (watchdog or wedge) ended the run
+  std::string error;      // what() of the final failure, "" when completed
+  std::string dump_path;  // hang diagnostic dump, "" when none
+  unsigned attempts = 1;  // 1 = first try succeeded
+};
+
+/// Whole-run options beyond the config. Per-kernel retry and analytical
+/// degrade are config knobs (cfg.degrade), not options.
+struct RunOptions {
+  /// Chaos scenario: trace axes are applied to the app on every attempt,
+  /// runtime axes are armed on the model. Must outlive the call.
+  const FaultPlan* fault_plan = nullptr;
+  /// Re-runs of the whole app after a failure. A spent wall budget is
+  /// never retried.
+  unsigned retries = 0;
+};
+
+struct RunSpec {
+  const Application& app;
+  const GpuConfig& cfg;
+  SimLevel level;
+  RunOptions options = {};
+};
+
+struct RunOutcome {
+  /// The run's result. A failed run keeps only its app and simulator names.
+  SimResult result;
+  AppOutcome outcome;
+  double prepass_s = 0;  // pre-pass or profile-cache fetch, last attempt
+  /// The final failure as thrown; null when the run completed.
+  std::exception_ptr error;
+
+  /// Moves the result out, or rethrows the original failure.
+  SimResult TakeOrThrow();
+};
+
+/// Runs one application: trace faults, pre-pass, the per-kernel loop and
+/// whole-app retry, with every failure classified into `outcome`. Throws
+/// nothing derived from std::exception.
+RunOutcome Run(const RunSpec& spec);
+
+/// One-shot simulation of an application; rethrows a failure as thrown.
+/// Deterministic for fixed inputs.
 SimResult RunSimulation(const Application& app, const GpuConfig& cfg,
                         SimLevel level);
 
-/// Reusable simulator handle (keeps the pre-pass profile so repeated runs
-/// of the same application don't re-profile). With cfg.memo.enabled the
-/// profile comes from the global ProfileCache and launches are replayed
-/// from the global MemoCache where exact (DESIGN.md §10).
+/// Reusable simulator handle: the constructor runs the pre-pass once, and
+/// each Run() simulates on fresh models. With cfg.memo.enabled the profile
+/// comes from the global ProfileCache and launches are replayed from the
+/// global MemoCache (DESIGN.md §10).
 class Simulator {
  public:
   Simulator(const Application& app, const GpuConfig& cfg, SimLevel level);
 
-  /// Runs a fresh GpuModel over the application. When a fault plan with
-  /// runtime axes is armed, or cfg.degrade asks for retry/fallback, the
-  /// resilient kernel-by-kernel driver is used instead of the memoized
-  /// fast path (replayed launches would dodge injection entirely).
+  /// Runs the per-kernel loop over the application; rethrows failures.
   SimResult Run();
 
-  /// Arms a chaos scenario for subsequent Run() calls. `plan` must outlive
-  /// the simulator; nullptr disarms. Trace axes are applied by the caller
-  /// via InjectTraceFaults before construction.
+  /// Arms a chaos scenario's runtime axes for subsequent Run() calls.
+  /// `plan` must outlive the simulator; nullptr disarms. Trace axes are
+  /// applied before construction (Run(RunSpec) does that per attempt).
   void ArmFaultPlan(const FaultPlan* plan) { fault_plan_ = plan; }
 
   SimLevel level() const { return level_; }
   const MemProfile* profile() const { return profile_.get(); }
+  double prepass_seconds() const { return prepass_seconds_; }
 
  private:
-  /// Kernel-by-kernel driver with bounded retry and optional analytical
-  /// fallback (DESIGN.md §11): a kernel that keeps hanging or failing is
-  /// re-run at analytical-memory level when cfg.degrade.on_hang is set,
-  /// recorded as a DegradeEvent, and the detailed model resumes fresh for
-  /// the remaining kernels. Rethrows when degradation is off or the
-  /// fallback itself fails.
-  SimResult RunResilient();
-
   const Application& app_;
   GpuConfig cfg_;
   SimLevel level_;

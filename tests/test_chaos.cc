@@ -22,6 +22,7 @@
 #include "config/presets.h"
 #include "swiftsim/fault_inject.h"
 #include "swiftsim/parallel.h"
+#include "swiftsim/service.h"
 #include "swiftsim/simulator.h"
 #include "workloads/workload.h"
 
@@ -221,8 +222,7 @@ TEST_P(ChaosSuite, CompletesWithInvariantsSeriallyAndParallel) {
 
     // Stateless decisions: two concurrent batch lanes arming the same
     // plan each replay the identical fault schedule.
-    BatchOptions options;
-    options.isolate_failures = true;
+    RunOptions options;
     options.fault_plan = &c.plan;
     const ParallelBatchResult batch =
         RunAppsParallel({app, app}, cfg, SimLevel::kDetailed, 2, options);
@@ -348,9 +348,8 @@ TEST(Chaos, BatchIsolationCompletesAroundPoisonedApp) {
   const std::vector<Application> apps = {SmallApp("BFS"),
                                          Poisoned(SmallApp("SM")),
                                          SmallApp("PAGERANK")};
-  BatchOptions options;
-  options.isolate_failures = true;
-  options.max_retries = 1;
+  RunOptions options;
+  options.retries = 1;
   const ParallelBatchResult batch =
       RunAppsParallel(apps, cfg, SimLevel::kSwiftSimMemory, 2, options);
   ASSERT_EQ(batch.results.size(), 3u);
@@ -365,6 +364,57 @@ TEST(Chaos, BatchIsolationCompletesAroundPoisonedApp) {
   EXPECT_EQ(batch.results[0].total_cycles, solo.total_cycles);
   EXPECT_GT(batch.results[2].total_cycles, 0u);
   EXPECT_STREQ(ToString(AppStatus::kFailed), "failed");
+}
+
+TEST(Chaos, OneClassifierAcrossSurfaces) {
+  // The run pipeline classifies each failure once; the isolated batch and
+  // the daemon each keep their own spelling of that classification.
+  struct Case {
+    const char* label;
+    const char* config_ini;
+    double timeout_sec;  // per-app wall budget; 0 = none
+    bool degrade;        // degrade.on_hang
+    AppStatus status;    // pipeline and batch
+    const char* wire;    // daemon response status
+  };
+  // A 1 ns budget expires at the watchdog's first wall-clock check; 32
+  // registers per SM cannot host a single CTA.
+  const Case cases[] = {
+      {"healthy", "", 0, false, AppStatus::kOk, "ok"},
+      {"degraded", "", 1e-9, true, AppStatus::kDegraded, "degraded"},
+      {"wall_budget", "", 1e-9, false, AppStatus::kTimedOut, "timeout"},
+      {"poisoned", "[gpu]\nregisters_per_sm = 32\n", 0, false,
+       AppStatus::kFailed, "failed"},
+  };
+  service::JobRequest job;
+  job.workload = "GEMM";
+  job.level = SimLevel::kDetailed;
+  const Application app = BuildWorkload(job.workload, {job.scale, job.seed});
+  for (const Case& c : cases) {
+    GpuConfig cfg =
+        GpuConfig::FromIni(IniFile::ParseString(c.config_ini), GpuConfig());
+    cfg.watchdog.wall_seconds = c.timeout_sec;
+    cfg.degrade.on_hang = c.degrade;
+    const RunOutcome run = swiftsim::Run({app, cfg, job.level});
+    EXPECT_EQ(run.outcome.status, c.status) << c.label;
+    EXPECT_EQ(run.error == nullptr, c.status == AppStatus::kOk ||
+                                        c.status == AppStatus::kDegraded)
+        << c.label;
+
+    const ParallelBatchResult batch =
+        RunAppsParallel({app}, cfg, job.level, 1, RunOptions{});
+    EXPECT_EQ(batch.statuses.at(0).status, c.status) << c.label;
+
+    service::ServiceOptions opts;
+    opts.threads = 1;
+    opts.degrade_on_hang = c.degrade;
+    service::SimulationService svc(opts);
+    job.id = c.label;
+    job.config_ini = c.config_ini;
+    job.timeout_sec = c.timeout_sec;
+    const service::Response r = svc.SubmitAndWait(job);
+    EXPECT_EQ(r.status, c.wire) << c.label << ": " << r.error_message;
+  }
 }
 
 TEST(Chaos, LegacyBatchOverloadStillFailsFast) {

@@ -77,11 +77,9 @@ TEST(BatchModes, EveryShapeMatchesSerial) {
       {"two apps isolated", {sm, bfs}, true},
   };
   for (const Row& row : rows) {
-    BatchOptions options;
-    options.isolate_failures = row.isolated;
     const ParallelBatchResult batch =
         row.isolated ? RunAppsParallel(row.apps, cfg, SimLevel::kSwiftSimBasic,
-                                       4, options)
+                                       4, RunOptions{})
                      : RunAppsParallel(row.apps, cfg,
                                        SimLevel::kSwiftSimBasic, 4);
     ASSERT_EQ(batch.results.size(), row.apps.size()) << row.label;
@@ -109,8 +107,7 @@ TEST(BatchModes, FaultPlanForcesAppParallelLanes) {
   const SimResult serial =
       RunSimulation(apps[0], cfg, SimLevel::kSwiftSimBasic);
   FaultPlan plan;
-  BatchOptions options;
-  options.isolate_failures = true;
+  RunOptions options;
   options.fault_plan = &plan;
   const ParallelBatchResult batch =
       RunAppsParallel(apps, cfg, SimLevel::kSwiftSimBasic, 4, options);
