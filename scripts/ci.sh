@@ -65,9 +65,7 @@ stage_perf() {
   echo "==> perf: bench smoke (hot-path throughput + memo exactness +"
   echo "          DSE sweep + trace compaction + persistent-service gates)"
   configure build
-  cmake --build build -j "$JOBS" \
-    --target bench_hotpath bench_memo bench_dse bench_trace bench_service \
-    swiftsimd
+  cmake --build build -j "$JOBS" --target swiftsim_bench swiftsimd
   # perf_dse_smoke, perf_trace_smoke and perf_service_smoke self-skip
   # (exit 77) on hosts with < 4 hardware threads, where their speedup
   # gates are meaningless.

@@ -292,8 +292,6 @@ GpuConfig GpuConfig::FromIni(const IniFile& ini, GpuConfig base) {
   c.memo.max_entries = ini.GetUint("memo.max_entries", c.memo.max_entries);
   c.memo.max_bytes = ini.GetUint("memo.max_bytes", c.memo.max_bytes);
   c.trace.cache_dir = ini.GetString("trace.cache_dir", c.trace.cache_dir);
-  c.trace.parallel_build =
-      ini.GetBool("trace.parallel_build", c.trace.parallel_build);
   c.watchdog.stall_cycles =
       ini.GetUint("watchdog.stall_cycles", c.watchdog.stall_cycles);
   c.watchdog.wall_seconds =
@@ -363,9 +361,7 @@ std::string GpuConfig::ToIniString() const {
      << "max_entries = " << memo.max_entries << "\n"
      << "max_bytes = " << memo.max_bytes << "\n";
   os << "[trace]\n"
-     << "cache_dir = " << trace.cache_dir << "\n"
-     << "parallel_build = " << (trace.parallel_build ? "true" : "false")
-     << "\n";
+     << "cache_dir = " << trace.cache_dir << "\n";
   os << "[watchdog]\n"
      << "stall_cycles = " << watchdog.stall_cycles << "\n"
      << "wall_seconds = " << watchdog.wall_seconds << "\n"

@@ -121,8 +121,7 @@ struct SiliconEffects {
 
 /// Columnar trace frontend knobs (DESIGN.md §14).
 struct TraceConfig {
-  std::string cache_dir;       // on-disk compact trace cache; "" = off
-  bool parallel_build = true;  // per-variant generation on the shared pool
+  std::string cache_dir;  // on-disk compact trace cache; "" = off
 };
 
 /// Cross-launch memoization knobs (DESIGN.md §10). `enabled` gates the
@@ -220,8 +219,7 @@ struct GpuConfig {
   MemoConfig memo;
 
   /// Columnar trace frontend (DESIGN.md §14). `cache_dir` points the
-  /// on-disk compact trace cache at a directory (empty disables it);
-  /// `parallel_build` toggles per-variant generation on the shared pool.
+  /// on-disk compact trace cache at a directory (empty disables it).
   TraceConfig trace;
 
   /// Forward-progress watchdog (DESIGN.md §11).

@@ -197,9 +197,9 @@ TEST(CanonicalConfigHash, SensitiveToAnyIniField) {
   timing.l2.latency += 1;
   GpuConfig knobs = base;
   knobs.memo.max_bytes += 1;
-  // Older INIs may still carry [parallel] mode or the removed memo
-  // convergence knobs; stale keys are ignored, so they key the same
-  // memo/DSE entries.
+  // Older INIs may still carry [parallel] mode, the removed memo
+  // convergence knobs or [trace] parallel_build; stale keys are ignored,
+  // so they key the same memo/DSE entries.
   const GpuConfig legacy = GpuConfig::FromIni(
       IniFile::ParseString("[parallel]\nmode = intra\n"), base);
   const GpuConfig legacy_memo = GpuConfig::FromIni(
@@ -207,9 +207,12 @@ TEST(CanonicalConfigHash, SensitiveToAnyIniField) {
                            "convergence_min_repeats = 5\n"
                            "convergence_epsilon = 0.5\n"),
       base);
+  const GpuConfig legacy_trace = GpuConfig::FromIni(
+      IniFile::ParseString("[trace]\nparallel_build = false\n"), base);
   EXPECT_EQ(base.CanonicalHash(), SmallGpu().CanonicalHash());
   EXPECT_EQ(base.CanonicalHash(), legacy.CanonicalHash());
   EXPECT_EQ(base.CanonicalHash(), legacy_memo.CanonicalHash());
+  EXPECT_EQ(base.CanonicalHash(), legacy_trace.CanonicalHash());
   EXPECT_NE(base.CanonicalHash(), timing.CanonicalHash());
   EXPECT_NE(base.CanonicalHash(), knobs.CanonicalHash());
 }
