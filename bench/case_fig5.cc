@@ -7,7 +7,6 @@
 // 82.6x / 211.2x. This bench reproduces the same decomposition on this
 // machine; the parallel factor scales with the available cores
 // (hardware_concurrency here, 50 threads on the paper's 2-socket server).
-#include <chrono>
 #include <cstdio>
 
 #include "common/stats.h"
@@ -61,16 +60,6 @@ int RunFig5(Bench& b) {
   const double par_basic = b1.wall_seconds / bn.wall_seconds;
   const double par_mem = m1.wall_seconds / mn.wall_seconds;
 
-  // Extra: SM-level parallelism, unique to the analytical-memory design
-  // (SMs share no mutable state).
-  cold();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const Application& app : apps) {
-    RunSmParallelMemory(app, gpu, opt.threads);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double wall_sm_par = std::chrono::duration<double>(t1 - t0).count();
-
   std::printf("-- decomposition (geomean; paper: 14.5x -> x2.7 -> x5) --\n");
   std::printf("swift-sim-basic  single-thread speedup : %6.1fx (paper 14.5x)\n",
               basic_1t);
@@ -81,8 +70,6 @@ int RunFig5(Bench& b) {
   std::printf("app-level parallel factor (%2u threads) : basic %4.2fx, "
               "memory %4.2fx (paper ~5x at 50 threads)\n",
               opt.threads, par_basic, par_mem);
-  std::printf("sm-level parallel factor (memory only)  : %6.2fx\n",
-              m1.wall_seconds / wall_sm_par);
   std::printf("total speedup with parallelism          : basic %5.1fx "
               "(paper 82.6x), memory %5.1fx (paper 211.2x)\n",
               basic_1t * par_basic, mem_1t * par_mem);

@@ -35,8 +35,6 @@ const std::vector<CaseDef>& Cases() {
        {}, RunTable2},
       {"fig4", "Figure 4: prediction error and speedup (RTX 2080 Ti)", 0.3,
        {}, kWorkload | kJson | kSimFlags | kFaultPlan, {}, RunFig4},
-      // The SM-parallel stage runs outside the run pipeline, so a fault
-      // plan could not reach it.
       {"fig5", "Figure 5: speedup contribution analysis", 0.25, {},
        kWorkload | kThreads | kJson | kSimFlags, {}, RunFig5},
       // The baseline runs on a GpuModel directly (its reservation-failure

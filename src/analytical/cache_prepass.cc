@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/cta_allocator.h"
 #include "mem/coalescer.h"
 
@@ -238,48 +237,6 @@ std::uint64_t MemProfileGeometryHash(const GpuConfig& cfg) {
   h.Mix(cfg.registers_per_sm);
   h.Mix(cfg.shared_mem_per_sm);
   return h.Digest().Fold();
-}
-
-MemProfile BuildMemProfileParallel(const Application& app,
-                                   const GpuConfig& cfg,
-                                   unsigned num_threads) {
-  SS_CHECK(num_threads > 0, "need at least one worker thread");
-  if (app.kernels.size() <= 1) {
-    // Nothing to shard; the serial pass is already cold per kernel.
-    return BuildMemProfile(app, cfg);
-  }
-  // One cold prepass per kernel, independent of scheduling, so the merged
-  // profile is bit-identical for any num_threads. Because every shard is
-  // cold, repeated launches of one kernel produce identical shards —
-  // compute each distinct fingerprint once and merge it per occurrence
-  // (exact dedup, gated on cfg.memo.enabled only for --no-memo A/B runs).
-  std::vector<std::size_t> shard_of(app.kernels.size());
-  std::vector<std::size_t> reps;  // representative kernel index per shard
-  if (cfg.memo.enabled) {
-    std::map<Fingerprint, std::size_t> seen;
-    for (std::size_t k = 0; k < app.kernels.size(); ++k) {
-      const Fingerprint fp = FingerprintKernel(*app.kernels[k]);
-      const auto [it, inserted] = seen.emplace(fp, reps.size());
-      if (inserted) reps.push_back(k);
-      shard_of[k] = it->second;
-    }
-  } else {
-    for (std::size_t k = 0; k < app.kernels.size(); ++k) {
-      shard_of[k] = k;
-      reps.push_back(k);
-    }
-  }
-  std::vector<MemProfile> shards(reps.size());
-  ThreadPool::Shared().ParallelFor(
-      reps.size(), num_threads, [&](std::size_t s) {
-        CachePrepass prepass(cfg);
-        prepass.ProcessKernel(*app.kernels[reps[s]], &shards[s]);
-      });
-  MemProfile profile;
-  for (std::size_t k = 0; k < app.kernels.size(); ++k) {
-    profile.Merge(shards[shard_of[k]]);
-  }
-  return profile;
 }
 
 }  // namespace swiftsim

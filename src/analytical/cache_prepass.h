@@ -53,7 +53,7 @@ class MemProfile {
   void FinalizeKernel(KernelId kernel);
 
   /// Adds `other`'s counts into this profile (per-PC and per-kernel).
-  /// Used to combine independently-built per-kernel shards.
+  /// Used to replay a memoized launch's profile delta.
   void Merge(const MemProfile& other);
 
   std::size_t num_pcs() const { return per_pc_.size(); }
@@ -128,14 +128,5 @@ MemProfile BuildMemProfile(const Application& app, const GpuConfig& cfg);
 /// application, so DSE sweeps over latencies/bandwidths/policies reuse
 /// one cached profile across config points.
 std::uint64_t MemProfileGeometryHash(const GpuConfig& cfg);
-
-/// Pre-pass sharded across kernels on the shared thread pool: every kernel
-/// is replayed against its own cold cache hierarchy and the per-kernel
-/// profiles are merged. The cold-start is a documented approximation of
-/// the serial pass's warm inter-kernel L2 — applied for EVERY thread count
-/// (including 1), so the result never depends on `num_threads`.
-MemProfile BuildMemProfileParallel(const Application& app,
-                                   const GpuConfig& cfg,
-                                   unsigned num_threads);
 
 }  // namespace swiftsim

@@ -59,8 +59,8 @@ class AnalyticalMemModel {
 ///    only DRAM-bound sectors occupy it.
 ///
 /// Later loads queue behind earlier ones; the instruction's queueing delay
-/// is the worst of the pipes. Keeping all pipes per-SM preserves SM
-/// independence (what makes Swift-Sim-Memory's SM-parallel mode possible).
+/// is the worst of the pipes. Keeping all pipes per-SM means one SM's
+/// loads never queue behind another SM's.
 class MemContentionModel {
  public:
   MemContentionModel(const GpuConfig& cfg);

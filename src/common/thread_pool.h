@@ -1,6 +1,6 @@
 // Persistent work-stealing thread pool shared by every parallel entry
-// point in the framework (app-level batches, DSE point lanes, SM-parallel
-// runs, trace builds and the cache pre-pass). Workers are spawned
+// point in the framework (app-level batches, DSE point lanes and trace
+// builds, including those of the daemon's lanes). Workers are spawned
 // once and reused across submissions — no parallel path spawns a
 // std::thread per batch or per kernel.
 //

@@ -27,8 +27,7 @@ class BlockScheduler {
   unsigned AssignPending(std::vector<std::unique_ptr<SmCore>>& sms,
                          IndexSet* launched_on = nullptr);
 
-  /// Called (via the SMs' completion hook) when a CTA finishes. Safe to
-  /// call concurrently from shard worker threads.
+  /// Called (via the SMs' completion hook) when a CTA finishes.
   void OnCtaComplete() {
     completed_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -42,8 +42,7 @@ class MetricsGatherer {
 class SmCore;
 
 /// Registers one SM's standard counters (and its L1's, when the SM owns a
-/// cycle-accurate L1) under "sm<id>[.l1]". Shared by the serial GpuModel
-/// and the SM-parallel runners so both report comparable snapshots.
+/// cycle-accurate L1) under "sm<id>[.l1]".
 void RegisterSmMetrics(MetricsGatherer& gatherer, const SmCore& sm);
 
 }  // namespace swiftsim

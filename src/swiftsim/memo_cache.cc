@@ -175,14 +175,11 @@ MemoCache& MemoCache::Global() {
 }
 
 ProfileCache::Fetch ProfileCache::GetOrBuild(const Application& app,
-                                             const GpuConfig& cfg,
-                                             bool parallel_builder,
-                                             unsigned num_threads) {
+                                             const GpuConfig& cfg) {
   const auto t0 = std::chrono::steady_clock::now();
   Key key;
   key.app_fp = FingerprintApplication(app);
   key.geometry = MemProfileGeometryHash(cfg);
-  key.parallel = parallel_builder;
   Fetch fetch;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -198,9 +195,8 @@ ProfileCache::Fetch ProfileCache::GetOrBuild(const Application& app,
     // Build outside the lock: concurrent batch drivers (RunAppsParallel)
     // must not serialize distinct apps' pre-passes. Racing builders of
     // the same key waste work but stay correct — first insert wins.
-    auto built = std::make_shared<const MemProfile>(
-        parallel_builder ? BuildMemProfileParallel(app, cfg, num_threads)
-                         : BuildMemProfile(app, cfg));
+    auto built =
+        std::make_shared<const MemProfile>(BuildMemProfile(app, cfg));
     std::lock_guard<std::mutex> lock(mu_);
     const auto [it, inserted] = entries_.emplace(key, Slot{});
     if (inserted) it->second.profile = std::move(built);

@@ -129,11 +129,8 @@ class ProfileCache {
   };
 
   /// Returns the cached profile for (app fingerprint, geometry hash) or
-  /// builds and caches it. `parallel_builder` selects the cold-sharded
-  /// BuildMemProfileParallel semantics, cached under a separate key (its
-  /// result differs from the serial warm pass by construction).
-  Fetch GetOrBuild(const Application& app, const GpuConfig& cfg,
-                   bool parallel_builder = false, unsigned num_threads = 1);
+  /// builds and caches it.
+  Fetch GetOrBuild(const Application& app, const GpuConfig& cfg);
 
   /// Caps the number of cached profiles (0 = unbounded); evicts least
   /// recently used. Shared pointers keep in-use profiles alive regardless.
@@ -151,12 +148,10 @@ class ProfileCache {
   struct Key {
     Fingerprint app_fp;
     std::uint64_t geometry = 0;
-    bool parallel = false;
 
     bool operator<(const Key& o) const {
       if (app_fp != o.app_fp) return app_fp < o.app_fp;
-      if (geometry != o.geometry) return geometry < o.geometry;
-      return parallel < o.parallel;
+      return geometry < o.geometry;
     }
   };
 

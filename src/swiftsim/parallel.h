@@ -1,19 +1,13 @@
-// Parallel simulation (paper §III-B2 / §IV-B2): the modular design makes
-// two levels of parallelism available:
-//
-//  * application-level — independent GpuModels for different applications
-//    run on a thread pool (any simulator level);
-//  * SM-level — in Swift-Sim-Memory the analytical memory path removes all
-//    shared mutable state between SMs, so one application's SMs can be
-//    simulated concurrently. CTAs are pre-assigned round-robin (a
-//    documented approximation of the greedy dispatcher; see DESIGN.md).
+// Application-level parallel simulation (paper §III-B2 / §IV-B2): the
+// modular design gives every application its own GpuModel, so independent
+// applications run side by side on a thread pool at any simulator level.
+// Each application still runs through the one serial run pipeline, so the
+// results match a serial run exactly.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "config/gpu_config.h"
-#include "sim/gpu_model.h"
 #include "sim/model_select.h"
 #include "swiftsim/simulator.h"
 #include "trace/kernel.h"
@@ -41,11 +35,5 @@ ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,
                                     const GpuConfig& cfg, SimLevel level,
                                     unsigned num_threads,
                                     const RunOptions& options);
-
-/// SM-parallel Swift-Sim-Memory run of one application. Deterministic for
-/// any thread count (SMs are independent). Kernel boundaries are global
-/// barriers; a kernel's cycle count is the slowest SM's local clock.
-SimResult RunSmParallelMemory(const Application& app, const GpuConfig& cfg,
-                              unsigned num_threads);
 
 }  // namespace swiftsim

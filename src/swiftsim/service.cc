@@ -279,7 +279,7 @@ SimulationService::SimulationService(ServiceOptions opt) : opt_(std::move(opt)) 
 
   // Lanes are dedicated threads that only wait and drive; the worker
   // budget lives on the shared pool, where every lane's nested parallel
-  // work (trace builds, pre-passes) executes.
+  // work (trace builds) executes.
   ThreadPool::Shared().EnsureWorkers(num_lanes_);
   lanes_.reserve(num_lanes_);
   for (unsigned i = 0; i < num_lanes_; ++i) {

@@ -1,7 +1,6 @@
-// Determinism and exactness tests for the parallel runners: every app
-// lane of a batch must be bit-identical to its serial run, and the
-// SM-parallel analytical-memory runner must not depend on its thread
-// count.
+// Exactness tests for the parallel batch runner: every app lane of a
+// batch must be bit-identical to its serial run, for any thread count and
+// batch shape.
 #include "swiftsim/parallel.h"
 
 #include <gtest/gtest.h>
@@ -117,32 +116,6 @@ TEST(BatchModes, FaultPlanForcesAppParallelLanes) {
   ExpectIdentical(serial, batch.results[0], "fault plan");
   EXPECT_EQ(NonDriverMetrics(serial), NonDriverMetrics(batch.results[0]));
   EXPECT_EQ(batch.results[0].simulator, ToString(SimLevel::kSwiftSimBasic));
-}
-
-TEST(ParallelMemory, DeterministicAcrossThreadCounts) {
-  const GpuConfig cfg = SmallGpu();
-  for (const char* name : {"SM", "GEMM"}) {
-    const Application app = SmallApp(name);
-    const SimResult one = RunSmParallelMemory(app, cfg, 1);
-    for (unsigned threads : {2u, 8u}) {
-      const SimResult many = RunSmParallelMemory(app, cfg, threads);
-      ExpectIdentical(one, many,
-                      std::string(name) + "/t" + std::to_string(threads));
-    }
-  }
-}
-
-TEST(ParallelMemory, PopulatesPerSmMetrics) {
-  const GpuConfig cfg = SmallGpu();
-  const Application app = SmallApp("SM");
-  const SimResult r = RunSmParallelMemory(app, cfg, 2);
-  EXPECT_FALSE(r.metrics.empty());
-  EXPECT_GT(r.metrics.at("sm0.issued_instrs"), 0u);
-  std::uint64_t issued = 0;
-  for (const auto& [key, value] : r.metrics) {
-    if (key.find("issued_instrs") != std::string::npos) issued += value;
-  }
-  EXPECT_EQ(issued, r.instructions);
 }
 
 }  // namespace

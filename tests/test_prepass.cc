@@ -177,31 +177,6 @@ TEST(Prepass, LaunchMemoizationIsBitIdentical) {
   }
 }
 
-TEST(Prepass, ParallelDedupMatchesPerLaunchShards) {
-  // BuildMemProfileParallel computes one cold shard per distinct kernel
-  // fingerprint and merges it per occurrence; disabling the dedup (memo
-  // off) must give the same profile, for any thread count.
-  GpuConfig cfg = Rtx2080TiConfig();
-  WorkloadScale s;
-  s.scale = 0.05;
-  const Application app = RepeatLaunches(BuildWorkload("PAGERANK", s), 4);
-  GpuConfig no_memo = cfg;
-  no_memo.memo.enabled = false;
-  const MemProfile deduped = BuildMemProfileParallel(app, cfg, 2);
-  const MemProfile full = BuildMemProfileParallel(app, no_memo, 2);
-  for (const auto& kernel : app.kernels) {
-    const KernelId id = kernel->info().id;
-    for (const CompactInstr& ins : kernel->cta(0).warps[0]) {
-      if (!IsGlobalMem(ins.op) || !IsLoad(ins.op)) continue;
-      const PcHitRates& a = full.Lookup(id, ins.pc);
-      const PcHitRates& b = deduped.Lookup(id, ins.pc);
-      EXPECT_EQ(a.accesses, b.accesses) << ins.pc;
-      EXPECT_EQ(a.l1_hits, b.l1_hits) << ins.pc;
-      EXPECT_EQ(a.l2_hits, b.l2_hits) << ins.pc;
-    }
-  }
-}
-
 TEST(Prepass, DeterministicAcrossRuns) {
   const GpuConfig cfg = Rtx2080TiConfig();
   WorkloadScale s;

@@ -73,36 +73,11 @@ TEST(ParallelRunner, AppBatchMatchesSerialResults) {
   EXPECT_GT(batch.wall_seconds, 0.0);
 }
 
-TEST(ParallelRunner, SmParallelDeterministicAcrossThreadCounts) {
-  const GpuConfig cfg = SmallGpu();
-  const Application app = SmallApp("GRU");
-  const SimResult one = RunSmParallelMemory(app, cfg, 1);
-  const SimResult four = RunSmParallelMemory(app, cfg, 4);
-  EXPECT_EQ(one.total_cycles, four.total_cycles);
-  EXPECT_EQ(one.instructions, four.instructions);
-  EXPECT_EQ(one.instructions, app.TotalInstrs());
-}
-
-TEST(ParallelRunner, SmParallelTracksSerialMemoryMode) {
-  // Static round-robin CTA assignment is a documented approximation of
-  // the greedy dispatcher: cycle counts must stay within a few percent.
-  const GpuConfig cfg = SmallGpu();
-  const Application app = SmallApp("SM");
-  const SimResult serial =
-      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
-  const SimResult par = RunSmParallelMemory(app, cfg, 2);
-  const double rel = std::abs(static_cast<double>(par.total_cycles) -
-                              static_cast<double>(serial.total_cycles)) /
-                     static_cast<double>(serial.total_cycles);
-  EXPECT_LT(rel, 0.25);
-}
-
 TEST(ParallelRunner, RejectsZeroThreads) {
   const GpuConfig cfg = SmallGpu();
   const std::vector<Application> apps{SmallApp("SM")};
   EXPECT_THROW(RunAppsParallel(apps, cfg, SimLevel::kSwiftSimBasic, 0),
                SimError);
-  EXPECT_THROW(RunSmParallelMemory(apps[0], cfg, 0), SimError);
 }
 
 }  // namespace
