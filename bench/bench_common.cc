@@ -94,24 +94,29 @@ BenchOptions ParseOptions(int argc, char** argv, double default_scale,
       {kTraceCache, PathFlag("--trace-cache", &opt.trace_cache_dir)},
       {kThreads, UintFlag("--threads", &opt.threads)},
       {kJson, PathFlag("--json", &opt.json_path)},
-      {kNoSkip, Switch("--no-skip", &opt.cycle_skip, false)},
-      {kNoMemo, Switch("--no-memo", &opt.memo, false)},
+      {kNoSkip, Switch("--no-skip", &opt.run.model.cycle_skip, false)},
+      {kNoMemo, Switch("--no-memo", &opt.run.memo, false)},
       {kMemoFile, PathFlag("--memo-file", &opt.memo_file)},
-      {kWatchdog, UintFlag("--watchdog-cycles", &opt.watchdog_cycles)},
+      {kWatchdog,
+       UintFlag("--watchdog-cycles", &opt.run.model.watchdog.stall_cycles)},
       {kWatchdog,
        {"--timeout-sec", true,
         [&opt](const std::string& v) {
-          opt.timeout_sec = ParseDouble(v, "--timeout-sec");
-          SS_CHECK(opt.timeout_sec >= 0, "--timeout-sec must be >= 0");
+          double& budget = opt.run.model.watchdog.wall_seconds;
+          budget = ParseDouble(v, "--timeout-sec");
+          SS_CHECK(std::isfinite(budget) && budget >= 0,
+                   "--timeout-sec must be a finite value >= 0");
         }}},
-      {kWatchdog, PathFlag("--dump-dir", &opt.dump_dir)},
-      {kDegrade, Switch("--degrade-on-hang", &opt.degrade_on_hang, true)},
+      {kWatchdog, PathFlag("--dump-dir", &opt.run.model.watchdog.dump_dir)},
+      {kDegrade,
+       Switch("--degrade-on-hang", &opt.run.degrade.on_hang, true)},
       {kFaultPlan,
        {"--fault-plan", true,
         [&opt](const std::string& v) {
           SS_CHECK(!v.empty(), "--fault-plan needs a path");
           opt.fault_plan =
               std::make_shared<const FaultPlan>(FaultPlan::FromFile(v));
+          opt.run.fault_plan = opt.fault_plan.get();
         }}},
   };
   std::vector<BenchFlag> flags;
@@ -143,21 +148,6 @@ BenchOptions ParseOptions(int argc, char** argv, double default_scale,
     opt.threads = std::max(1u, std::thread::hardware_concurrency());
   }
   return opt;
-}
-
-GpuConfig BenchConfig(const BenchOptions& opt, GpuConfig preset) {
-  preset.cycle_skip = opt.cycle_skip;
-  preset.memo.enabled = opt.memo;
-  preset.watchdog.stall_cycles = opt.watchdog_cycles;
-  preset.watchdog.wall_seconds = opt.timeout_sec;
-  if (!opt.dump_dir.empty()) preset.watchdog.dump_dir = opt.dump_dir;
-  preset.degrade.on_hang = opt.degrade_on_hang;
-  return preset;
-}
-
-RunOutcome RunOne(const Application& app, const GpuConfig& cfg,
-                  SimLevel level, const BenchOptions& opt) {
-  return Run({app, cfg, level, {opt.fault_plan.get()}});
 }
 
 std::vector<Application> BuildApps(const BenchOptions& opt,

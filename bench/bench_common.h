@@ -1,5 +1,5 @@
-// Shared experiment harness: the flag parser, config derivation and run
-// record of `swiftsim_bench <case>` (bench/swiftsim_bench.cc), plus the
+// Shared experiment harness: the flag parser and run record of
+// `swiftsim_bench <case>` (bench/swiftsim_bench.cc), plus the
 // trace-footprint helper perfbench links.
 #pragma once
 
@@ -45,14 +45,12 @@ struct BenchOptions {
   unsigned threads = 0;           // 0 = hardware concurrency
   std::uint64_t seed = 0x5eed5eedULL;
   std::string json_path;
-  bool cycle_skip = true;
-  bool memo = true;
   std::string memo_file;
-  Cycle watchdog_cycles = 0;  // 0/empty = off
-  double timeout_sec = 0;
-  std::string dump_dir;
-  bool degrade_on_hang = false;
-  /// --fault-plan, loaded once while parsing; null = no plan.
+  /// --no-skip, --no-memo, the watchdog flags (--timeout-sec bounds each
+  /// app run), --degrade-on-hang and --fault-plan, as the run pipeline
+  /// takes them.
+  RunOptions run;
+  /// Owns the --fault-plan that run.fault_plan points at; null = no plan.
   std::shared_ptr<const FaultPlan> fault_plan;
   std::string trace_cache_dir;  // empty = always generate
 };
@@ -72,15 +70,6 @@ struct BenchFlag {
 BenchOptions ParseOptions(int argc, char** argv, double default_scale,
                           unsigned shared,
                           const std::vector<BenchFlag>& extra = {});
-
-/// `preset` with --no-skip, --no-memo, the watchdog and the degrade flags
-/// applied. The wall budget is per run, so --timeout-sec bounds each app.
-GpuConfig BenchConfig(const BenchOptions& opt, GpuConfig preset);
-
-/// Runs one app at one level through the run pipeline with the options'
-/// fault plan armed. A failure is classified into the outcome.
-RunOutcome RunOne(const Application& app, const GpuConfig& cfg,
-                  SimLevel level, const BenchOptions& opt);
 
 /// Builds the requested workloads (through the --trace-cache when set);
 /// `build_seconds`, when given, receives each one's wall time.

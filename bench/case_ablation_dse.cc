@@ -28,13 +28,13 @@ namespace swiftsim::bench {
 int RunAblationDse(Bench& b) {
   const BenchOptions& opt = b.opt();
   const auto& apps = b.Apps();
-  const GpuConfig base = BenchConfig(b.opt(), Rtx2080TiConfig());
+  const GpuConfig base = Rtx2080TiConfig();
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
   // Runs one sweep point, prints its cycles and records it as `arm`.
   const auto run = [&](const Application& app, const GpuConfig& gpu,
                        SimLevel level, const std::string& arm) {
-    const RunOutcome out = RunOne(app, gpu, level, opt);
+    const RunOutcome out = Run({app, gpu, level, opt.run});
     memo_hits += out.result.Metric("memo.hits");
     memo_misses += out.result.Metric("memo.misses");
     Record r = RecordOf(out);

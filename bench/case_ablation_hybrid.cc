@@ -35,7 +35,8 @@ void AppendStep(const Bench& b, const std::string& app, const char* level,
 }  // namespace
 
 int RunAblationHybrid(Bench& b) {
-  const GpuConfig gpu = BenchConfig(b.opt(), Rtx2080TiConfig());
+  const GpuConfig gpu = Rtx2080TiConfig();
+  const RunOptions& run = b.opt().run;
   ModelSelection hybrid_alu = SelectionFor(SimLevel::kDetailed);
   hybrid_alu.alu = AluModelKind::kHybridAnalytical;
   const std::pair<const char*, ModelSelection> steps[] = {
@@ -46,13 +47,14 @@ int RunAblationHybrid(Bench& b) {
   };
 
   for (const Application& app : b.Apps()) {
-    const MemProfile profile = BuildMemProfile(app, gpu);
+    const MemProfile profile = BuildMemProfile(app, gpu, run.memo);
     std::printf("-- %s --\n", app.name.c_str());
     double base_wall = 0;
     Cycle base_cycles = 0;
     for (const auto& [name, sel] : steps) {
       GpuModel model(gpu, sel,
-                     sel.mem == MemModelKind::kAnalytical ? &profile : nullptr);
+                     sel.mem == MemModelKind::kAnalytical ? &profile : nullptr,
+                     run.model);
       const auto t0 = std::chrono::steady_clock::now();
       const SimResult r = model.RunApplication(app);
       const auto t1 = std::chrono::steady_clock::now();
@@ -73,7 +75,7 @@ int RunAblationHybrid(Bench& b) {
     // of the functional cache pre-pass (the paper names both, §III-D2).
     {
       const MemProfile rd = BuildMemProfileReuseDistance(app, gpu);
-      GpuModel model(gpu, steps[3].second, &rd);
+      GpuModel model(gpu, steps[3].second, &rd, run.model);
       const SimResult r = model.RunApplication(app);
       AppendStep(b, app.name, "+mem-reuse-distance", RecordOf(r),
                  r.wall_seconds);

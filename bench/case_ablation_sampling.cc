@@ -13,7 +13,7 @@
 namespace swiftsim::bench {
 
 int RunAblationSampling(Bench& b) {
-  const GpuConfig gpu = BenchConfig(b.opt(), Rtx2080TiConfig());
+  const GpuConfig gpu = Rtx2080TiConfig();
   std::printf("%-10s %12s | %28s | %28s\n", "app", "full_cycles",
               "sample 25% (err, speedup)", "sample 10% (err, speedup)");
   for (const Application& app : b.Apps()) {
@@ -22,7 +22,8 @@ int RunAblationSampling(Bench& b) {
                 static_cast<unsigned long long>(full.cycles));
     for (double fraction : {0.25, 0.10}) {
       const SampledResult s =
-          RunSampledSimulation(app, gpu, SimLevel::kSwiftSimBasic, fraction);
+          RunSampledSimulation(app, gpu, SimLevel::kSwiftSimBasic, fraction,
+                               b.opt().run);
       Record r;
       r.app = app.name;
       r.level = "sampled-" + std::to_string(std::lround(fraction * 100)) + "%";

@@ -205,7 +205,7 @@ int RunDse(Bench& b) {
     dopt.journal_path = b.String("--resume", "");
     dopt.resume = true;
   }
-  const GpuConfig base = BenchConfig(b.opt(), Rtx2080TiConfig());
+  const GpuConfig base = Rtx2080TiConfig();
   const std::string sweep_ini = b.String("--sweep-ini", "");
   const SweepSpec spec =
       sweep_ini.empty() ? DefaultSpec() : SweepSpec::FromFile(sweep_ini);
@@ -215,6 +215,7 @@ int RunDse(Bench& b) {
               spec.NumPoints(), exp.points.size(), exp.skipped_invalid);
 
   dopt.threads = opt.threads;
+  dopt.run = opt.run;
   const auto& apps = b.Apps();
 
   if (b.Has("--chaos-smoke")) {

@@ -18,7 +18,7 @@
 namespace swiftsim::bench {
 
 int RunFig4(Bench& b) {
-  const GpuConfig gpu = BenchConfig(b.opt(), Rtx2080TiConfig());
+  const GpuConfig gpu = Rtx2080TiConfig();
   std::printf("%-10s %12s %10s %10s %10s | %9s %9s\n", "app", "hw_cycles",
               "err_accel", "err_basic", "err_mem", "sp_basic", "sp_mem");
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "common/stats.h"
+#include "common/status.h"
 #include "config/presets.h"
 #include "swiftsim/memo_cache.h"
 #include "swiftsim/parallel.h"
@@ -19,7 +20,7 @@ namespace swiftsim::bench {
 
 int RunFig5(Bench& b) {
   const BenchOptions& opt = b.opt();
-  const GpuConfig gpu = BenchConfig(b.opt(), Rtx2080TiConfig());
+  const GpuConfig gpu = Rtx2080TiConfig();
   const auto& apps = b.Apps();
 
   // Every timed stage starts from empty memo and profile caches, so no
@@ -31,9 +32,15 @@ int RunFig5(Bench& b) {
   };
   const auto batch = [&](SimLevel level, unsigned threads) {
     cold();
-    ParallelBatchResult batch = RunAppsParallel(apps, gpu, level, threads);
-    for (const SimResult& result : batch.results) {
-      Record r = RecordOf(result);
+    ParallelBatchResult batch =
+        RunAppsParallel(apps, gpu, level, threads, opt.run);
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      const AppOutcome& outcome = batch.statuses[i];
+      if (outcome.status == AppStatus::kFailed ||
+          outcome.status == AppStatus::kTimedOut) {
+        throw SimError(apps[i].name + ": " + outcome.error);
+      }
+      Record r = RecordOf(batch.results[i]);
       r.threads = threads;
       b.Append(r);
     }

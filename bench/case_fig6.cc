@@ -16,7 +16,7 @@ namespace swiftsim::bench {
 
 int RunFig6(Bench& b) {
   for (const auto& name : PresetNames()) {
-    const GpuConfig gpu = BenchConfig(b.opt(), PresetByName(name));
+    const GpuConfig gpu = PresetByName(name);
     // Records name the GPU with the level: "<preset>/<level>".
     const auto arm = [&name](SimLevel level) {
       return name + "/" + ToString(level);
@@ -30,7 +30,8 @@ int RunFig6(Bench& b) {
           b.Run(app, gpu, SimLevel::kSilicon, arm(SimLevel::kSilicon));
       // The reservation/MSHR failure total needs the model itself, so the
       // baseline runs on a GpuModel directly.
-      GpuModel accel_model(gpu, SelectionFor(SimLevel::kDetailed));
+      GpuModel accel_model(gpu, SelectionFor(SimLevel::kDetailed), nullptr,
+                           b.opt().run.model);
       const SimResult accel = accel_model.RunApplication(app);
       Record accel_record = RecordOf(accel);
       accel_record.app = app.name;

@@ -20,15 +20,16 @@ int RunHotpath(Bench& b) {
   // stresses both the core pipeline and the memory system. BFS/PAGERANK
   // are the memory-bound apps with long idle spans where the event
   // calendar (DESIGN.md §9) earns its keep.
-  const GpuConfig gpu = BenchConfig(b.opt(), Rtx2080TiConfig());
+  const GpuConfig gpu = Rtx2080TiConfig();
   double total_instrs = 0, total_wall = 0;
   std::printf("%-10s %12s %10s %14s %12s %8s\n", "app", "cycles", "wall[s]",
               "instrs/sec", "skipped", "jumps");
   const auto& apps = b.Apps();
   for (std::size_t i = 0; i < apps.size(); ++i) {
     const Application& app = apps[i];
-    Record best = RecordOf(RunOne(app, gpu, SimLevel::kDetailed, b.opt()));
-    const RunOutcome again = RunOne(app, gpu, SimLevel::kDetailed, b.opt());
+    const RunSpec spec{app, gpu, SimLevel::kDetailed, b.opt().run};
+    Record best = RecordOf(Run(spec));
+    const RunOutcome again = Run(spec);
     if (again.result.wall_seconds < best.wall_s) best = RecordOf(again);
     // Trace-footprint figures (DESIGN.md §14) travel with every record so
     // the history tracks memory compaction alongside throughput.

@@ -43,25 +43,29 @@ int RunMemo(Bench& b) {
   constexpr unsigned kIterations = 12;
   std::printf("iterations per app: %u\n", kIterations);
 
-  GpuConfig fresh_cfg = BenchConfig(b.opt(), Rtx2080TiConfig());
-  fresh_cfg.memo.enabled = false;
-  GpuConfig memo_cfg = fresh_cfg;
-  memo_cfg.memo.enabled = true;
+  const GpuConfig gpu = Rtx2080TiConfig();
+  RunOptions fresh_run = b.opt().run;
+  fresh_run.memo = false;
+  // Runs one arm, records it under `arm` and returns the record.
+  const auto run_arm = [&b, &gpu](const Application& app,
+                                  const RunOptions& run, const char* arm) {
+    Record r = RecordOf(Run({app, gpu, SimLevel::kSwiftSimMemory, run}));
+    r.level = arm;
+    b.Append(r);
+    return r;
+  };
 
   bool ok = true;
   std::printf("%-14s %14s %10s %10s %10s %8s %8s\n", "app", "cycles",
               "fresh[s]", "cold[s]", "warm[s]", "cold-x", "warm-x");
   for (const Application& base : b.Apps()) {
     const Application app = RepeatLaunches(base, kIterations);
-    const Record fresh =
-        b.Run(app, fresh_cfg, SimLevel::kSwiftSimMemory, "memory+fresh");
-    if (!b.opt().memo) continue;  // --no-memo: baseline arm only
+    const Record fresh = run_arm(app, fresh_run, "memory+fresh");
+    if (!b.opt().run.memo) continue;  // --no-memo: baseline arm only
 
     ClearGlobalCaches();
-    const Record cold =
-        b.Run(app, memo_cfg, SimLevel::kSwiftSimMemory, "memory+memo-cold");
-    const Record warm =
-        b.Run(app, memo_cfg, SimLevel::kSwiftSimMemory, "memory+memo-warm");
+    const Record cold = run_arm(app, b.opt().run, "memory+memo-cold");
+    const Record warm = run_arm(app, b.opt().run, "memory+memo-warm");
 
     const double cold_x = Speedup(fresh.wall_s, cold.wall_s);
     const double warm_x = Speedup(fresh.wall_s, warm.wall_s);

@@ -14,7 +14,7 @@ namespace swiftsim::bench {
 
 namespace {
 
-// The config flags BenchConfig applies.
+// The run-setting flags (BenchOptions::run).
 constexpr unsigned kSimFlags = kNoSkip | kNoMemo | kWatchdog | kDegrade;
 
 struct CaseDef {
@@ -189,7 +189,7 @@ void Bench::Append(Record r) const {
 
 Record Bench::Run(const Application& app, const GpuConfig& cfg,
                   SimLevel level, const std::string& arm) const {
-  Record r = RecordOf(RunOne(app, cfg, level, opt_));
+  Record r = RecordOf(swiftsim::Run({app, cfg, level, opt_.run}));
   if (!arm.empty()) r.level = arm;
   Append(r);
   return r;

@@ -40,8 +40,8 @@ class Bench {
   /// Stamps `r` with the case, options and host and appends it to --json.
   void Append(Record r) const;
 
-  /// Runs `app` through RunOne, appends its record (with `arm` as its
-  /// level when given) and returns it.
+  /// Runs `app` through the run pipeline under opt().run, appends its
+  /// record (with `arm` as its level when given) and returns it.
   Record Run(const Application& app, const GpuConfig& cfg, SimLevel level,
              const std::string& arm = "") const;
 

@@ -211,9 +211,10 @@ void CachePrepass::ProcessKernelImpl(const KernelTrace& kernel,
   profile->FinalizeKernel(info.id);
 }
 
-MemProfile BuildMemProfile(const Application& app, const GpuConfig& cfg) {
+MemProfile BuildMemProfile(const Application& app, const GpuConfig& cfg,
+                           bool memoize) {
   MemProfile profile;
-  CachePrepass prepass(cfg, cfg.memo.enabled);
+  CachePrepass prepass(cfg, memoize);
   for (const auto& kernel : app.kernels) {
     prepass.ProcessKernel(*kernel, &profile);
   }

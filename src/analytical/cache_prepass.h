@@ -117,9 +117,10 @@ class CachePrepass {
 };
 
 /// Convenience: full pre-pass over every kernel of the application.
-/// Launch-level memoization follows cfg.memo.enabled; the result is
+/// `memoize` switches launch-level memoization; the result is
 /// bit-identical either way.
-MemProfile BuildMemProfile(const Application& app, const GpuConfig& cfg);
+MemProfile BuildMemProfile(const Application& app, const GpuConfig& cfg,
+                           bool memoize = true);
 
 /// Hash of exactly the configuration fields the pre-pass result depends
 /// on: cache geometry (size/assoc/line/sector of both levels), chip shape

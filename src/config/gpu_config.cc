@@ -1,6 +1,8 @@
 #include "config/gpu_config.h"
 
+#include <charconv>
 #include <sstream>
+#include <vector>
 
 #include "common/bitutil.h"
 #include "common/status.h"
@@ -144,8 +146,6 @@ void GpuConfig::Validate() const {
            "dram closed-row latency must be >= row-hit latency");
   SS_CHECK(dram.queue_depth > 0, "dram queue depth must be positive");
   SS_CHECK(shared_mem_banks > 0, "shared_mem_banks must be positive");
-  SS_CHECK(watchdog.wall_seconds >= 0,
-           "watchdog.wall_seconds must be non-negative");
 }
 
 namespace {
@@ -195,6 +195,15 @@ void DumpCache(std::ostringstream& os, const std::string& sec,
      << "write_policy = " << ToString(c.write_policy) << "\n"
      << "latency = " << c.latency << "\n"
      << "streaming = " << (c.streaming ? "true" : "false") << "\n";
+}
+
+// The shortest text that reads back as the same double: the stream's
+// default 6 significant digits would let configs that differ in a later
+// digit share one canonical hash.
+std::string Exact(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
 }
 
 void DumpExecUnit(std::ostringstream& os, const std::string& sec,
@@ -287,19 +296,6 @@ GpuConfig GpuConfig::FromIni(const IniFile& ini, GpuConfig base) {
       "effects.l2_latency_extra", c.effects.l2_latency_extra));
   c.effects.dram_latency_extra = static_cast<unsigned>(ini.GetUint(
       "effects.dram_latency_extra", c.effects.dram_latency_extra));
-  c.cycle_skip = ini.GetBool("sim.cycle_skip", c.cycle_skip);
-  c.memo.enabled = ini.GetBool("memo.enabled", c.memo.enabled);
-  c.memo.max_entries = ini.GetUint("memo.max_entries", c.memo.max_entries);
-  c.memo.max_bytes = ini.GetUint("memo.max_bytes", c.memo.max_bytes);
-  c.trace.cache_dir = ini.GetString("trace.cache_dir", c.trace.cache_dir);
-  c.watchdog.stall_cycles =
-      ini.GetUint("watchdog.stall_cycles", c.watchdog.stall_cycles);
-  c.watchdog.wall_seconds =
-      ini.GetDouble("watchdog.wall_seconds", c.watchdog.wall_seconds);
-  c.watchdog.dump_dir = ini.GetString("watchdog.dump_dir", c.watchdog.dump_dir);
-  c.degrade.on_hang = ini.GetBool("degrade.on_hang", c.degrade.on_hang);
-  c.degrade.max_retries = static_cast<unsigned>(
-      ini.GetUint("degrade.max_retries", c.degrade.max_retries));
   c.Validate();
   return c;
 }
@@ -345,31 +341,26 @@ std::string GpuConfig::ToIniString() const {
      << "queue_depth = " << dram.queue_depth << "\n";
   os << "[effects]\n"
      << "enabled = " << (effects.enabled ? "true" : "false") << "\n"
-     << "icache_miss_rate = " << effects.icache_miss_rate << "\n"
+     << "icache_miss_rate = " << Exact(effects.icache_miss_rate) << "\n"
      << "icache_miss_penalty = " << effects.icache_miss_penalty << "\n"
-     << "regbank_conflict_rate = " << effects.regbank_conflict_rate << "\n"
+     << "regbank_conflict_rate = " << Exact(effects.regbank_conflict_rate)
+     << "\n"
      << "writeback_bus_width = " << effects.writeback_bus_width << "\n"
      << "dram_refresh_interval = " << effects.dram_refresh_interval << "\n"
      << "dram_refresh_penalty = " << effects.dram_refresh_penalty << "\n"
      << "kernel_launch_overhead = " << effects.kernel_launch_overhead << "\n"
      << "l2_latency_extra = " << effects.l2_latency_extra << "\n"
      << "dram_latency_extra = " << effects.dram_latency_extra << "\n";
-  os << "[sim]\n"
-     << "cycle_skip = " << (cycle_skip ? "true" : "false") << "\n";
-  os << "[memo]\n"
-     << "enabled = " << (memo.enabled ? "true" : "false") << "\n"
-     << "max_entries = " << memo.max_entries << "\n"
-     << "max_bytes = " << memo.max_bytes << "\n";
-  os << "[trace]\n"
-     << "cache_dir = " << trace.cache_dir << "\n";
-  os << "[watchdog]\n"
-     << "stall_cycles = " << watchdog.stall_cycles << "\n"
-     << "wall_seconds = " << watchdog.wall_seconds << "\n"
-     << "dump_dir = " << watchdog.dump_dir << "\n";
-  os << "[degrade]\n"
-     << "on_hang = " << (degrade.on_hang ? "true" : "false") << "\n"
-     << "max_retries = " << degrade.max_retries << "\n";
   return os.str();
+}
+
+const std::set<std::string>& GpuConfig::IniKeys() {
+  static const std::set<std::string> keys = [] {
+    const std::vector<std::string> all =
+        IniFile::ParseString(GpuConfig().ToIniString()).Keys();
+    return std::set<std::string>(all.begin(), all.end());
+  }();
+  return keys;
 }
 
 std::uint64_t GpuConfig::CanonicalHash() const {

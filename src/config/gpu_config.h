@@ -4,9 +4,15 @@
 // execution-unit throughput and latency, the two cache levels, interconnect
 // and DRAM. Configurations are loadable from INI files (Accel-Sim-flavored
 // key names) and three real-GPU presets are provided (presets.h).
+//
+// It describes the machine only. How a run is driven (cycle skipping,
+// memoization, watchdog, degradation) is the driver's business: those
+// settings live in RunOptions (swiftsim/simulator.h) and never enter the
+// config hash.
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 
 #include "common/types.h"
@@ -119,53 +125,6 @@ struct SiliconEffects {
   unsigned dram_latency_extra = 45;      // cycles added to each channel
 };
 
-/// Columnar trace frontend knobs (DESIGN.md §14).
-struct TraceConfig {
-  std::string cache_dir;  // on-disk compact trace cache; "" = off
-};
-
-/// Cross-launch memoization knobs (DESIGN.md §10). `enabled` gates the
-/// exact reuse layers: launch replay at the analytical-memory level and
-/// the pre-pass profile caches, both of which reproduce fresh results
-/// bit-identically. The cycle-accurate-memory levels never replay.
-struct MemoConfig {
-  bool enabled = true;
-  // Eviction caps for the process-global caches (DESIGN.md §10/§11): 0 =
-  // unbounded. `max_entries` bounds both the launch-record cache and the
-  // profile cache by entry count; `max_bytes` additionally bounds the
-  // launch-record cache by its estimated footprint. Eviction prefers the
-  // least-replayed, then least-recently-used entry, so hot launch records
-  // of long sweeps survive.
-  std::uint64_t max_entries = 0;
-  std::uint64_t max_bytes = 0;
-};
-
-/// Forward-progress watchdog over the cycle-accurate drivers (DESIGN.md
-/// §11). Disabled by default; stall_cycles = 0 keeps the hot loop free of
-/// any watchdog work, preserving bit-identical pre-watchdog behavior.
-struct WatchdogConfig {
-  /// Trip when the progress signature (issued instructions + NoC/L2/DRAM
-  /// traffic counters) is unchanged for this many simulated cycles.
-  /// 0 disables the cycle watchdog. Set comfortably above the longest
-  /// legitimate silent span (a few times the DRAM latency).
-  Cycle stall_cycles = 0;
-  /// Wall-clock budget per application run in seconds; 0 disables.
-  double wall_seconds = 0;
-  /// Directory for JSON diagnostic dumps on a trip; empty = no dump file
-  /// (the typed SimHangError is raised either way).
-  std::string dump_dir;
-};
-
-/// Graceful degradation on mid-kernel failures (DESIGN.md §11).
-struct DegradeConfig {
-  /// Re-run a kernel that hung or failed at the analytical-memory level
-  /// on a fresh model, record a DegradeEvent, and continue the app.
-  bool on_hang = false;
-  /// Fresh-model retries at the original level before degrading (or
-  /// failing, when on_hang is false).
-  unsigned max_retries = 0;
-};
-
 /// Complete GPU description.
 struct GpuConfig {
   GpuConfig();  // sets L2-appropriate defaults on the l2 member
@@ -209,25 +168,6 @@ struct GpuConfig {
   // --- Oracle-only second-order effects -------------------------------------
   SiliconEffects effects;
 
-  // --- Simulation-driver knobs ----------------------------------------------
-  /// Event-calendar cycle skipping (DESIGN.md §9): lets the cycle-accurate
-  /// driver fast-forward over spans it proves are no-op ticks. Cycle counts
-  /// are bit-identical either way; disable only for A/B validation runs.
-  bool cycle_skip = true;
-
-  /// Cross-launch memoization (DESIGN.md §10).
-  MemoConfig memo;
-
-  /// Columnar trace frontend (DESIGN.md §14). `cache_dir` points the
-  /// on-disk compact trace cache at a directory (empty disables it).
-  TraceConfig trace;
-
-  /// Forward-progress watchdog (DESIGN.md §11).
-  WatchdogConfig watchdog;
-
-  /// Graceful degradation on mid-kernel failures (DESIGN.md §11).
-  DegradeConfig degrade;
-
   // Derived -------------------------------------------------------------
   unsigned warps_per_sub_core() const {
     return max_warps_per_sm / sub_cores_per_sm;
@@ -243,9 +183,15 @@ struct GpuConfig {
   void Validate() const;
 
   /// Loads from an INI file; unspecified keys keep the values of `base`
-  /// (so users can write sparse override files on top of a preset).
+  /// (so users can write sparse override files on top of a preset). Keys
+  /// outside IniKeys() are ignored.
   static GpuConfig FromIni(const IniFile& ini, GpuConfig base);
   static GpuConfig FromIni(const IniFile& ini);
+
+  /// Every "section.key" ToIniString writes and FromIni reads. Callers
+  /// that must not ignore a key (daemon requests, sweep axes) check
+  /// against it.
+  static const std::set<std::string>& IniKeys();
 
   /// Serializes every field to INI text that FromIni round-trips.
   std::string ToIniString() const;

@@ -13,13 +13,13 @@
 namespace swiftsim {
 
 GpuModel::GpuModel(const GpuConfig& cfg, const ModelSelection& selection,
-                   const MemProfile* profile)
-    : cfg_(cfg), sel_(selection) {
+                   const MemProfile* profile, const ModelSettings& settings)
+    : cfg_(cfg), sel_(selection), settings_(settings) {
   cfg_.Validate();
   l2_drain_attempts_ =
       cfg_.l2_drain_attempts != 0 ? cfg_.l2_drain_attempts : cfg_.l2.banks;
-  wd_enabled_ =
-      cfg_.watchdog.stall_cycles != 0 || cfg_.watchdog.wall_seconds > 0;
+  wd_enabled_ = settings_.watchdog.stall_cycles != 0 ||
+                settings_.watchdog.wall_seconds > 0;
   if (sel_.mem == MemModelKind::kAnalytical) {
     SS_CHECK(profile != nullptr,
              "analytical memory mode requires a MemProfile (run the cache "
@@ -56,7 +56,7 @@ GpuModel::GpuModel(const GpuConfig& cfg, const ModelSelection& selection,
   for (unsigned s = 0; s < cfg_.num_sms; ++s) {
     sms_.push_back(std::make_unique<SmCore>(
         cfg_, sel_, s, mem_model_.get(),
-        [this](SmId) { scheduler_.OnCtaComplete(); }));
+        [this](SmId) { scheduler_.OnCtaComplete(); }, settings_));
   }
   RegisterMetrics();
 }
@@ -134,8 +134,8 @@ bool GpuModel::TickSmRange(unsigned first, unsigned last, Cycle now) {
   // sleeping SM's tick would be a no-op, so eliding it is exact. With it
   // disabled, cycle-accurate ALU modes keep the per-cycle reference
   // behavior (tick every active SM) — the --no-skip A/B baseline.
-  const bool tick_all = never_jump && !cfg_.cycle_skip;
-  const bool account_skips = never_jump && cfg_.cycle_skip;
+  const bool tick_all = never_jump && !settings_.cycle_skip;
+  const bool account_skips = never_jump && settings_.cycle_skip;
   bool progressed = false;
   std::vector<MemResponse> due;  // fault-injection redeliveries only
   // Only SMs that received a CTA and have not been found drained since are
@@ -277,14 +277,19 @@ void GpuModel::BeginKernel(const KernelTrace& kernel) {
     // Re-arm the stall window per kernel and start the wall budget at the
     // model's first launch (the budget covers the whole application run).
     wd_last_sig_ = ProgressSignature();
-    wd_next_check_ = now_ + cfg_.watchdog.stall_cycles;
-    if (!wall_armed_ && cfg_.watchdog.wall_seconds > 0) {
-      wall_armed_ = true;
-      wall_deadline_ = std::chrono::steady_clock::now() +
-                       std::chrono::duration_cast<
-                           std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(
-                               cfg_.watchdog.wall_seconds));
+    wd_next_check_ = now_ + settings_.watchdog.stall_cycles;
+    if (!wall_armed_ && settings_.watchdog.wall_seconds > 0) {
+      using Clock = std::chrono::steady_clock;
+      const Clock::time_point start = Clock::now();
+      const std::chrono::duration<double> budget(
+          settings_.watchdog.wall_seconds);
+      // A budget past the clock's range never expires; converting it
+      // would overflow into a deadline in the past.
+      if (budget < Clock::time_point::max() - start) {
+        wall_armed_ = true;
+        wall_deadline_ =
+            start + std::chrono::duration_cast<Clock::duration>(budget);
+      }
     }
   }
 }
@@ -351,7 +356,7 @@ Cycle GpuModel::RunKernel(const KernelTrace& kernel) {
 
   const bool mem_ca = sel_.mem == MemModelKind::kCycleAccurate;
   const bool never_jump = sel_.alu == AluModelKind::kCycleAccurate;
-  const bool skip = never_jump && cfg_.cycle_skip;
+  const bool skip = never_jump && settings_.cycle_skip;
 
   while (!KernelDone()) {
     AssignPendingCtas();
@@ -449,13 +454,13 @@ std::uint64_t GpuModel::ProgressSignature() const {
 }
 
 void GpuModel::WatchdogPoll(Cycle now) {
-  if (cfg_.watchdog.stall_cycles != 0 && now >= wd_next_check_) {
+  if (settings_.watchdog.stall_cycles != 0 && now >= wd_next_check_) {
     const std::uint64_t sig = ProgressSignature();
     if (sig == wd_last_sig_ && !KernelDone()) {
       const std::string dump = WriteDiagnosticDump("no_forward_progress", now);
       std::ostringstream msg;
       msg << "watchdog: no forward progress for "
-          << cfg_.watchdog.stall_cycles << " cycles";
+          << settings_.watchdog.stall_cycles << " cycles";
       if (current_kernel_) {
         msg << " in kernel '" << current_kernel_->info().name << "'";
       }
@@ -464,14 +469,14 @@ void GpuModel::WatchdogPoll(Cycle now) {
       throw SimHangError(SimHangError::Kind::kNoProgress, msg.str(), dump);
     }
     wd_last_sig_ = sig;
-    wd_next_check_ = now + cfg_.watchdog.stall_cycles;
+    wd_next_check_ = now + settings_.watchdog.stall_cycles;
   }
   if (wall_armed_ && (++wd_poll_count_ & 0xFFFu) == 0 &&
       std::chrono::steady_clock::now() > wall_deadline_) {
     const std::string dump = WriteDiagnosticDump("wall_clock_budget", now);
     std::ostringstream msg;
-    msg << "watchdog: wall-clock budget of " << cfg_.watchdog.wall_seconds
-        << "s expired";
+    msg << "watchdog: wall-clock budget of "
+        << settings_.watchdog.wall_seconds << "s expired";
     if (current_kernel_) {
       msg << " in kernel '" << current_kernel_->info().name << "'";
     }
@@ -495,16 +500,16 @@ void GpuModel::ThrowWedged(Cycle now) {
 
 std::string GpuModel::WriteDiagnosticDump(const std::string& reason,
                                           Cycle now) const {
-  if (cfg_.watchdog.dump_dir.empty()) return "";
+  if (settings_.watchdog.dump_dir.empty()) return "";
   std::error_code ec;
-  std::filesystem::create_directories(cfg_.watchdog.dump_dir, ec);
+  std::filesystem::create_directories(settings_.watchdog.dump_dir, ec);
   if (ec) return "";
   // One dump per (kernel, cycle) is unique within a run; the reason keeps
   // files self-describing when a directory collects several.
   std::ostringstream fname;
   fname << "hang_" << reason << "_cycle" << now << ".json";
   const std::filesystem::path path =
-      std::filesystem::path(cfg_.watchdog.dump_dir) / fname.str();
+      std::filesystem::path(settings_.watchdog.dump_dir) / fname.str();
   std::ofstream os(path);
   if (!os) return "";
 

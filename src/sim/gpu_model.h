@@ -22,6 +22,7 @@
 #include "sim/fault_hooks.h"
 #include "sim/metrics.h"
 #include "sim/model_select.h"
+#include "sim/model_settings.h"
 #include "sim/sm.h"
 #include "trace/kernel.h"
 
@@ -61,9 +62,11 @@ struct SimResult {
 class GpuModel {
  public:
   /// `profile` must be non-null iff selection.mem == kAnalytical; it must
-  /// outlive the model.
+  /// outlive the model. `settings` choose how the model is driven (cycle
+  /// skipping, watchdog), never what it simulates.
   GpuModel(const GpuConfig& cfg, const ModelSelection& selection,
-           const MemProfile* profile = nullptr);
+           const MemProfile* profile = nullptr,
+           const ModelSettings& settings = {});
 
   /// Runs one kernel to completion (including memory drain); returns the
   /// cycles it consumed. State (caches, clock) persists across kernels.
@@ -159,7 +162,7 @@ class GpuModel {
   [[noreturn]] void ThrowWedged(Cycle now);
 
   /// Writes the JSON diagnostic dump (per-SM warp/scoreboard/LD-ST state,
-  /// memory occupancies, wake calendar) to cfg.watchdog.dump_dir. Returns
+  /// memory occupancies, wake calendar) to the watchdog's dump_dir. Returns
   /// the file path, or "" when no dump directory is configured or the
   /// write failed.
   std::string WriteDiagnosticDump(const std::string& reason, Cycle now) const;
@@ -185,6 +188,7 @@ class GpuModel {
 
   GpuConfig cfg_;
   ModelSelection sel_;
+  ModelSettings settings_;
   std::unique_ptr<AnalyticalMemModel> mem_model_;
 
   std::vector<std::unique_ptr<SmCore>> sms_;

@@ -20,8 +20,9 @@ bool HashBernoulli(std::uint64_t key, double p) {
 
 SmCore::SmCore(const GpuConfig& cfg, const ModelSelection& selection, SmId id,
                const AnalyticalMemModel* mem_model,
-               CtaCompleteFn on_cta_complete)
-    : cfg_(cfg), sel_(selection), id_(id), mem_model_(mem_model),
+               CtaCompleteFn on_cta_complete, const ModelSettings& settings)
+    : cfg_(cfg), sel_(selection), cycle_skip_(settings.cycle_skip), id_(id),
+      mem_model_(mem_model),
       on_cta_complete_(std::move(on_cta_complete)),
       warps_(cfg.max_warps_per_sm),
       conflict_paid_(cfg.max_warps_per_sm, 0),
@@ -576,7 +577,7 @@ bool SmCore::Tick(Cycle now) {
   // retry pin is unnecessary and the SM may sleep through backpressure.
   // Hybrid-ALU drivers never run those checks, so they keep the pin.
   const bool capacity_sleep =
-      sel_.alu == AluModelKind::kCycleAccurate && cfg_.cycle_skip;
+      sel_.alu == AluModelKind::kCycleAccurate && cycle_skip_;
   if (l1_) {
     wake = std::min(wake, std::max(l1_->NextResponseReady(), now + 1));
     for (SubCore& sc : subcores_) {

@@ -29,6 +29,7 @@
 #include "mem/cache.h"
 #include "mem/coalescer.h"
 #include "sim/model_select.h"
+#include "sim/model_settings.h"
 
 namespace swiftsim {
 
@@ -52,9 +53,10 @@ class SmCore {
   using CtaCompleteFn = std::function<void(SmId)>;
 
   /// `mem_model` must be non-null iff selection.mem == kAnalytical and must
-  /// outlive the SM.
+  /// outlive the SM. Of `settings`, only cycle_skip is read here.
   SmCore(const GpuConfig& cfg, const ModelSelection& selection, SmId id,
-         const AnalyticalMemModel* mem_model, CtaCompleteFn on_cta_complete);
+         const AnalyticalMemModel* mem_model, CtaCompleteFn on_cta_complete,
+         const ModelSettings& settings = {});
 
   // --- Block-scheduler interface -----------------------------------------
   bool CanTakeCta(const KernelInfo& info) const;
@@ -205,6 +207,7 @@ class SmCore {
 
   GpuConfig cfg_;
   ModelSelection sel_;
+  bool cycle_skip_;
   SmId id_;
   const AnalyticalMemModel* mem_model_;
   CtaCompleteFn on_cta_complete_;

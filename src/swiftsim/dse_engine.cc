@@ -64,11 +64,11 @@ struct RungStats {
 };
 
 RungStats RunPoint(const std::vector<Application>& apps, const GpuConfig& cfg,
-                   SimLevel level) {
+                   SimLevel level, const RunOptions& run) {
   RungStats s;
   const auto t0 = std::chrono::steady_clock::now();
   for (const Application& app : apps) {
-    const SimResult r = RunSimulation(app, cfg, level);
+    const SimResult r = RunSimulation(app, cfg, level, run);
     s.cycles += r.total_cycles;
     s.memo_hits += r.Metric("memo.hits");
     s.memo_misses += r.Metric("memo.misses");
@@ -261,6 +261,9 @@ std::string SweepIdentity(const std::vector<Application>& apps,
   h.Mix(static_cast<std::uint64_t>(opt.screen_level));
   h.Mix(static_cast<std::uint64_t>(opt.refine_level));
   h.Mix(static_cast<std::uint64_t>(opt.final_level));
+  // A degraded kernel's cycles come from the analytical fallback.
+  h.Mix(opt.run.degrade.on_hang ? 1 : 0);
+  h.Mix(opt.run.degrade.max_retries);
   return h.Digest().ToHex();
 }
 
@@ -439,7 +442,7 @@ SweepReport RunSweep(const std::vector<Application>& apps,
         std::min<std::size_t>(todo.size(), std::max(1u, opt.threads)));
     pool.ParallelFor(todo.size(), lanes, [&](std::size_t k) {
       PointOutcome& po = report.points[todo[k]];
-      const RungStats s = RunPoint(apps, points[todo[k]].cfg, level);
+      const RungStats s = RunPoint(apps, points[todo[k]].cfg, level, opt.run);
       po.*cyc = s.cycles;
       po.*wall = s.wall;
       po.memo_hits += s.memo_hits;

@@ -96,6 +96,8 @@ struct DseOptions {
   /// against a different sweep raises SimError.
   std::string journal_path;
   bool resume = false;
+  /// How every point's simulations are driven (RunSimulation's options).
+  RunOptions run;
 };
 
 struct PointOutcome {

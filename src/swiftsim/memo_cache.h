@@ -20,8 +20,10 @@
 //                  repeated Simulator constructions and across config
 //                  points that differ only in timing parameters.
 //
-// Both caches are process-global, mutex-protected and exact;
-// cfg.memo.enabled = false (--no-memo) bypasses every layer.
+// Both caches are process-global and mutex-protected; RunOptions::memo =
+// false (--no-memo) bypasses every layer. Their caps are process-wide
+// too: the process that owns them sets them once (swiftsimd's
+// --memo-max-entries / --memo-max-bytes), never a single run.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +79,7 @@ class MemoCache {
   /// already recorded (e.g. by a racing driver) keeps its record.
   void RecordLaunch(const MemoKey& key, LaunchRecord rec);
 
-  /// Caps the cache (cfg.memo.max_entries / max_bytes; 0 = unbounded).
+  /// Caps the cache (0 = unbounded).
   /// When either cap is exceeded after an insert, entries are evicted
   /// least-replayed first (ties: least recently used) — an entry that
   /// replays often keeps paying for its slot, a recorded-but-never-hit

@@ -7,7 +7,6 @@
 #include "common/bitutil.h"
 #include "common/status.h"
 #include "core/cta_allocator.h"
-#include "swiftsim/simulator.h"
 
 namespace swiftsim {
 
@@ -31,7 +30,8 @@ std::shared_ptr<KernelTrace> SamplePrefix(const KernelTrace& kernel,
 
 SampledResult RunSampledSimulation(const Application& app,
                                    const GpuConfig& cfg, SimLevel level,
-                                   double cta_fraction) {
+                                   double cta_fraction,
+                                   const RunOptions& options) {
   SS_CHECK(cta_fraction > 0.0 && cta_fraction <= 1.0,
            "cta_fraction must be in (0, 1]");
   const auto t0 = std::chrono::steady_clock::now();
@@ -61,7 +61,7 @@ SampledResult RunSampledSimulation(const Application& app,
 
   // The sampled prefix is itself a stable application: sweeps that
   // re-sample the same workload reuse its pre-pass profile.
-  const SimResult run = RunSimulation(sampled, cfg, level);
+  const SimResult run = RunSimulation(sampled, cfg, level, options);
   Cycle estimated = 0;
   for (std::size_t k = 0; k < run.kernels.size(); ++k) {
     estimated += static_cast<Cycle>(std::llround(

@@ -11,6 +11,7 @@
 
 #include "config/gpu_config.h"
 #include "sim/model_select.h"
+#include "swiftsim/simulator.h"
 #include "trace/kernel.h"
 
 namespace swiftsim {
@@ -30,9 +31,11 @@ struct SampledResult {
 
 /// Runs `level` on a sampled prefix of each kernel's grid (at least one
 /// full chip wave, at least ceil(cta_fraction * grid) CTAs) and
-/// extrapolates per kernel. cta_fraction in (0, 1].
+/// extrapolates per kernel. cta_fraction in (0, 1]. The sampled run goes
+/// through RunSimulation under `options`.
 SampledResult RunSampledSimulation(const Application& app,
                                    const GpuConfig& cfg, SimLevel level,
-                                   double cta_fraction);
+                                   double cta_fraction,
+                                   const RunOptions& options = {});
 
 }  // namespace swiftsim

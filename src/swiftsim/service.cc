@@ -6,7 +6,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -28,19 +27,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
-}
-
-/// The set of INI keys GpuConfig round-trips — FromIni silently ignores
-/// unknown keys (sparse overrides), so the service must reject them itself
-/// or a client typo becomes a silently-default simulation.
-const std::set<std::string>& KnownConfigKeys() {
-  static const std::set<std::string>* keys = [] {
-    IniFile ini = IniFile::ParseString(GpuConfig().ToIniString());
-    auto* s = new std::set<std::string>();
-    for (const std::string& k : ini.Keys()) s->insert(k);
-    return s;
-  }();
-  return *keys;
 }
 
 }  // namespace
@@ -244,6 +230,7 @@ struct SimulationService::PendingJob {
 
   JobRequest job;
   GpuConfig cfg;
+  RunOptions options;
   CoalesceKey key;
   std::vector<Waiter> waiters;  // [0] = the job that started the simulation
 };
@@ -321,40 +308,42 @@ bool SimulationService::Submit(const JobRequest& job, Callback done,
     return reject(ErrorCode::kUnknownWorkload, e.what());
   }
 
-  // Resolve preset + sparse INI overrides + service knobs into the full
-  // config this job will simulate under; its canonical hash is the config
-  // lane of the coalescing key, so jobs coalesce exactly when they would
-  // simulate identically.
+  // Resolve preset + sparse INI overrides into the machine this job
+  // simulates; its canonical hash is the config lane of the coalescing
+  // key. FromIni ignores unknown keys, so they are rejected here: a typo
+  // would otherwise simulate the default silently. Run settings are not
+  // GpuConfig keys, so a client cannot reach the daemon's caches, dump
+  // directories or watchdog through its config.
   GpuConfig cfg;
   try {
     cfg = job.preset.empty() ? GpuConfig() : PresetByName(job.preset);
     if (!job.config_ini.empty()) {
       IniFile ini = IniFile::ParseString(job.config_ini);
-      const std::set<std::string>& known = KnownConfigKeys();
       for (const std::string& key : ini.Keys()) {
-        if (known.find(key) == known.end()) {
+        if (GpuConfig::IniKeys().count(key) == 0) {
           throw SimError("unknown config key '" + key + "'");
         }
       }
       cfg = GpuConfig::FromIni(ini, cfg);
     }
-    if (!opt_.trace_cache_dir.empty()) cfg.trace.cache_dir = opt_.trace_cache_dir;
-    cfg.watchdog.wall_seconds =
-        job.timeout_sec >= 0 ? job.timeout_sec : opt_.default_timeout_sec;
-    if (opt_.watchdog_cycles != 0) cfg.watchdog.stall_cycles = opt_.watchdog_cycles;
-    // Degradation routes through the resilient driver, which bypasses the
-    // memoized fast path — keep it an explicit opt-in.
-    cfg.degrade.on_hang = opt_.degrade_on_hang;
-    cfg.Validate();
   } catch (const SimError& e) {
     return reject(ErrorCode::kBadConfig, e.what());
   }
+  // The run settings come from the daemon, except the request's own wall
+  // budget. Degradation routes through the resilient driver, which
+  // bypasses the memoized fast path, so it stays a daemon opt-in.
+  RunOptions options;
+  options.model.watchdog.stall_cycles = opt_.watchdog_cycles;
+  options.model.watchdog.wall_seconds =
+      job.timeout_sec >= 0 ? job.timeout_sec : opt_.default_timeout_sec;
+  options.degrade.on_hang = opt_.degrade_on_hang;
 
   CoalesceKey key;
   key.trace_key = WorkloadBuildKey(job.workload, {job.scale, job.seed});
   key.cfg_hash = cfg.CanonicalHash();
   key.iterations = job.iterations;
   key.level = static_cast<std::uint8_t>(job.level);
+  key.wall_seconds = options.model.watchdog.wall_seconds;
 
   PendingJob::Waiter waiter{std::move(done), job.id, Clock::now()};
 
@@ -376,6 +365,7 @@ bool SimulationService::Submit(const JobRequest& job, Callback done,
   auto pending = std::make_shared<PendingJob>();
   pending->job = job;
   pending->cfg = std::move(cfg);
+  pending->options = options;
   pending->key = key;
   pending->waiters.push_back(std::move(waiter));
   if (!queue_->TryPush(pending)) {
@@ -482,7 +472,7 @@ void SimulationService::RunJob(PendingJob& job, Response* out) {
   const Application repeated = job.job.iterations > 1
                                    ? RepeatLaunches(*app, job.job.iterations)
                                    : *app;
-  const RunOutcome run = Run({repeated, job.cfg, job.job.level});
+  const RunOutcome run = Run({repeated, job.cfg, job.job.level, job.options});
   const AppOutcome& outcome = run.outcome;
   out->ok = run.error == nullptr;
   if (!out->ok) {

@@ -17,8 +17,8 @@
 //     persistence on shutdown;
 //   * request coalescing: concurrent jobs with an identical coalescing
 //     key (trace fingerprint, iterations, canonical config hash,
-//     SimLevel) attach to the one in-flight simulation and fan out its
-//     result;
+//     SimLevel, wall budget) attach to the one in-flight simulation and
+//     fan out its result;
 //   * admission control: a bounded queue rejects overload with a typed
 //     `queue_full` error instead of stalling clients;
 //   * per-request isolation reusing the §11 outcome classification: a
@@ -149,8 +149,10 @@ struct ServiceOptions {
   std::uint64_t app_cache_entries = 64;  // in-memory built-trace LRU cap
   double default_timeout_sec = 0;  // per-request wall watchdog; 0 = off
   Cycle watchdog_cycles = 0;       // stall-window watchdog; 0 = off
-  bool degrade_on_hang = false;    // analytical fallback (cfg.degrade)
-  std::uint64_t memo_max_entries = 0;  // global cache caps; 0 = unbounded
+  bool degrade_on_hang = false;    // analytical fallback on a hung kernel
+  /// Caps on the process-global MemoCache (entries, bytes) and
+  /// ProfileCache (entries), set once at construction; 0 = unbounded.
+  std::uint64_t memo_max_entries = 0;
   std::uint64_t memo_max_bytes = 0;
   /// Supervision telemetry snapshot (DESIGN.md §16): filled in by the
   /// supervisor when it spawns this worker so the `stats` op can report
@@ -221,12 +223,16 @@ class SimulationService {
     std::uint64_t cfg_hash = 0;
     std::uint32_t iterations = 1;
     std::uint8_t level = 0;
+    /// The resolved wall budget: a follower must not inherit another
+    /// job's budget (or its timeout).
+    double wall_seconds = 0;
 
     bool operator<(const CoalesceKey& o) const {
       if (trace_key != o.trace_key) return trace_key < o.trace_key;
       if (cfg_hash != o.cfg_hash) return cfg_hash < o.cfg_hash;
       if (iterations != o.iterations) return iterations < o.iterations;
-      return level < o.level;
+      if (level != o.level) return level < o.level;
+      return wall_seconds < o.wall_seconds;
     }
   };
 

@@ -39,27 +39,28 @@ struct MemoStats {
 
 /// The one per-kernel loop. Each kernel is replayed from the MemoCache or
 /// simulated; a simulated kernel that throws is retried on a fresh model
-/// (cfg.degrade.max_retries) and then, with cfg.degrade.on_hang, finished
-/// at the analytical-memory level (DESIGN.md §11). Metrics fold across
-/// every model the run used. `profile` as in GpuModel's constructor.
+/// (degrade.max_retries) and then, with degrade.on_hang, finished at the
+/// analytical-memory level (DESIGN.md §11). Metrics fold across every
+/// model the run used. `profile` as in GpuModel's constructor.
 SimResult RunKernels(const Application& app, const GpuConfig& cfg,
                      SimLevel level, const MemProfile* profile,
-                     const FaultPlan* plan) {
+                     const RunOptions& opt) {
   const ModelSelection sel = SelectionFor(level);
+  const FaultPlan* plan = opt.fault_plan;
   const bool armed = plan != nullptr && plan->AnyRuntime();
   const bool resilient =
-      armed || cfg.degrade.on_hang || cfg.degrade.max_retries > 0;
+      armed || opt.degrade.on_hang || opt.degrade.max_retries > 0;
   // Replay is exact only at the analytical-memory level, and a replayed
   // launch would dodge injection, retry and degrade.
-  MemoCache* memo = cfg.memo.enabled && !resilient &&
-                            sel.mem == MemModelKind::kAnalytical
-                        ? &MemoCache::Global()
-                        : nullptr;
+  MemoCache* memo =
+      opt.memo && !resilient && sel.mem == MemModelKind::kAnalytical
+          ? &MemoCache::Global()
+          : nullptr;
 
   std::optional<FaultInjector> injector;
   if (armed) injector.emplace(*plan, cfg.num_sms);
   const auto make_model = [&] {
-    auto m = std::make_unique<GpuModel>(cfg, sel, profile);
+    auto m = std::make_unique<GpuModel>(cfg, sel, profile, opt.model);
     if (injector) m->ArmFaults(&*injector);
     return m;
   };
@@ -87,7 +88,6 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
   std::uint64_t evictions_before = 0;
   std::map<std::string, std::uint64_t> replayed_deltas;
   if (memo != nullptr) {
-    memo->SetLimits(cfg.memo.max_entries, cfg.memo.max_bytes);
     evictions_before = memo->evictions();
     model->metrics().Register("memo", "hits", &stats.hits);
     model->metrics().Register("memo", "misses", &stats.misses);
@@ -133,7 +133,7 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
       } catch (const SimError& e) {
         if (!resilient) throw;
         fold_metrics(*model);
-        if (attempts < cfg.degrade.max_retries) {
+        if (attempts < opt.degrade.max_retries) {
           // Bounded retry on a fresh model resumed at the kernel boundary;
           // deterministic faults will recur, transient model-state damage
           // will not.
@@ -141,16 +141,17 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
           model->SyncClock(clock);
           continue;
         }
-        if (!cfg.degrade.on_hang) throw;
+        if (!opt.degrade.on_hang) throw;
         // Graceful degradation: finish this kernel analytically (clean
         // model, no injection — the point is a usable estimate), record
         // the event, and resume on a fresh model after it.
         Application one;
         one.name = app.name;
         one.kernels.push_back(kernel);
-        const MemProfile fallback_profile = BuildMemProfile(one, cfg);
+        const MemProfile fallback_profile =
+            BuildMemProfile(one, cfg, opt.memo);
         GpuModel ana(cfg, SelectionFor(SimLevel::kSwiftSimMemory),
-                     &fallback_profile);
+                     &fallback_profile, opt.model);
         ana.SyncClock(clock);
         const Cycle cycles = ana.RunKernel(*kernel);
         result.kernels.push_back({name, cycles, ana.TotalIssuedInstrs()});
@@ -225,28 +226,27 @@ bool Classify(const std::exception& e, AppOutcome* outcome) {
 }  // namespace
 
 Simulator::Simulator(const Application& app, const GpuConfig& cfg,
-                     SimLevel level)
-    : app_(app), cfg_(cfg), level_(level) {
+                     SimLevel level, const RunOptions& options)
+    : app_(app), cfg_(cfg), level_(level), options_(options) {
   if (SelectionFor(level).mem != MemModelKind::kAnalytical) return;
-  if (cfg_.memo.enabled) {
+  if (options_.memo) {
     // Cache-geometry-equal configs and repeated constructions share one
     // profile; the fetch time (hit or build) is the run's pre-pass cost.
-    ProfileCache::Global().SetMaxEntries(cfg_.memo.max_entries);
     const ProfileCache::Fetch fetch =
         ProfileCache::Global().GetOrBuild(app, cfg_);
     profile_ = fetch.profile;
     prepass_seconds_ = fetch.seconds;
   } else {
     const auto t0 = std::chrono::steady_clock::now();
-    profile_ = std::make_shared<const MemProfile>(BuildMemProfile(app, cfg_));
+    profile_ = std::make_shared<const MemProfile>(
+        BuildMemProfile(app, cfg_, /*memoize=*/false));
     const auto t1 = std::chrono::steady_clock::now();
     prepass_seconds_ = std::chrono::duration<double>(t1 - t0).count();
   }
 }
 
 SimResult Simulator::Run() {
-  SimResult result =
-      RunKernels(app_, cfg_, level_, profile_.get(), fault_plan_);
+  SimResult result = RunKernels(app_, cfg_, level_, profile_.get(), options_);
   // The pre-pass is part of Swift-Sim-Memory's cost; charge it to the run.
   result.wall_seconds += prepass_seconds_;
   return result;
@@ -267,8 +267,7 @@ RunOutcome Run(const RunSpec& spec) {
         faulted = InjectTraceFaults(spec.app, *plan);
         app = &faulted;
       }
-      Simulator sim(*app, spec.cfg, spec.level);
-      sim.ArmFaultPlan(plan);
+      Simulator sim(*app, spec.cfg, spec.level, spec.options);
       out.prepass_s = sim.prepass_seconds();
       out.result = sim.Run();
       out.outcome.status = out.result.degrades.empty() ? AppStatus::kOk
@@ -290,8 +289,8 @@ RunOutcome Run(const RunSpec& spec) {
 }
 
 SimResult RunSimulation(const Application& app, const GpuConfig& cfg,
-                        SimLevel level) {
-  return Run({app, cfg, level}).TakeOrThrow();
+                        SimLevel level, const RunOptions& options) {
+  return Run({app, cfg, level, options}).TakeOrThrow();
 }
 
 }  // namespace swiftsim

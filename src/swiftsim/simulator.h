@@ -20,6 +20,7 @@
 #include "config/gpu_config.h"
 #include "sim/gpu_model.h"
 #include "sim/model_select.h"
+#include "sim/model_settings.h"
 #include "swiftsim/fault_inject.h"
 #include "trace/kernel.h"
 
@@ -43,8 +44,18 @@ struct AppOutcome {
   unsigned attempts = 1;  // 1 = first try succeeded
 };
 
-/// Whole-run options beyond the config. Per-kernel retry and analytical
-/// degrade are config knobs (cfg.degrade), not options.
+/// Per-kernel recovery (DESIGN.md §11).
+struct DegradeSettings {
+  /// Re-run a kernel that hung or failed at the analytical-memory level
+  /// on a fresh model, record a DegradeEvent, and continue the app.
+  bool on_hang = false;
+  /// Fresh-model retries at the original level before degrading (or
+  /// failing, when on_hang is false).
+  unsigned max_retries = 0;
+};
+
+/// How a run is driven. The GpuConfig says what is simulated; nothing here
+/// changes the cycles of a run that completes, so none of it keys a cache.
 struct RunOptions {
   /// Chaos scenario: trace axes are applied to the app on every attempt,
   /// runtime axes are armed on the model. Must outlive the call.
@@ -52,6 +63,13 @@ struct RunOptions {
   /// Re-runs of the whole app after a failure. A spent wall budget is
   /// never retried.
   unsigned retries = 0;
+  /// Cross-launch memoization (DESIGN.md §10): launch replay at the
+  /// analytical-memory level and the pre-pass profile caches, all exact.
+  /// Their caps belong to the caches' owner (MemoCache::SetLimits).
+  bool memo = true;
+  /// Cycle skipping and the watchdog, handed to every model.
+  ModelSettings model;
+  DegradeSettings degrade;
 };
 
 struct RunSpec {
@@ -81,23 +99,20 @@ RunOutcome Run(const RunSpec& spec);
 /// One-shot simulation of an application; rethrows a failure as thrown.
 /// Deterministic for fixed inputs.
 SimResult RunSimulation(const Application& app, const GpuConfig& cfg,
-                        SimLevel level);
+                        SimLevel level, const RunOptions& options = {});
 
 /// Reusable simulator handle: the constructor runs the pre-pass once, and
-/// each Run() simulates on fresh models. With cfg.memo.enabled the profile
+/// each Run() simulates on fresh models. With options.memo the profile
 /// comes from the global ProfileCache and launches are replayed from the
-/// global MemoCache (DESIGN.md §10).
+/// global MemoCache (DESIGN.md §10). Only the fault plan's runtime axes
+/// apply here; Run(RunSpec) applies its trace axes and `retries`.
 class Simulator {
  public:
-  Simulator(const Application& app, const GpuConfig& cfg, SimLevel level);
+  Simulator(const Application& app, const GpuConfig& cfg, SimLevel level,
+            const RunOptions& options = {});
 
   /// Runs the per-kernel loop over the application; rethrows failures.
   SimResult Run();
-
-  /// Arms a chaos scenario's runtime axes for subsequent Run() calls.
-  /// `plan` must outlive the simulator; nullptr disarms. Trace axes are
-  /// applied before construction (Run(RunSpec) does that per attempt).
-  void ArmFaultPlan(const FaultPlan* plan) { fault_plan_ = plan; }
 
   SimLevel level() const { return level_; }
   const MemProfile* profile() const { return profile_.get(); }
@@ -107,7 +122,7 @@ class Simulator {
   const Application& app_;
   GpuConfig cfg_;
   SimLevel level_;
-  const FaultPlan* fault_plan_ = nullptr;  // non-owning; nullptr = off
+  RunOptions options_;
   // Analytical memory mode only; shared when the ProfileCache served it.
   std::shared_ptr<const MemProfile> profile_;
   double prepass_seconds_ = 0;

@@ -67,11 +67,8 @@ TEST(BenchParseOptions, DeclaredFlagsApply) {
   EXPECT_EQ(opt.apps, (std::vector<std::string>{"BFS", "GEMM"}));
   EXPECT_EQ(opt.threads, 3u);
   EXPECT_EQ(opt.seed, 7u);
-  EXPECT_FALSE(opt.memo);
-  EXPECT_FALSE(opt.cycle_skip);
-  const GpuConfig cfg = BenchConfig(opt, GpuConfig());
-  EXPECT_FALSE(cfg.memo.enabled);
-  EXPECT_FALSE(cfg.cycle_skip);
+  EXPECT_FALSE(opt.run.memo);
+  EXPECT_FALSE(opt.run.model.cycle_skip);
   EXPECT_DOUBLE_EQ(Parse({}, kScale).scale, 0.5);
 }
 

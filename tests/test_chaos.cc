@@ -33,11 +33,16 @@ GpuConfig SmallGpu() {
   GpuConfig cfg = Rtx2080TiConfig();
   cfg.num_sms = 4;
   cfg.num_mem_partitions = 2;
+  return cfg;
+}
+
+RunOptions Backstops() {
   // Backstops so a resilience bug fails the test instead of hanging CI;
   // both are far above anything a survivable plan can trigger.
-  cfg.watchdog.stall_cycles = 500000;
-  cfg.watchdog.wall_seconds = 120;
-  return cfg;
+  RunOptions options;
+  options.model.watchdog.stall_cycles = 500000;
+  options.model.watchdog.wall_seconds = 120;
+  return options;
 }
 
 Application SmallApp(const std::string& name, double scale = 0.02) {
@@ -179,14 +184,17 @@ class ChaosSuite : public ::testing::TestWithParam<PlanCase> {};
 TEST_P(ChaosSuite, CompletesWithInvariantsSeriallyAndParallel) {
   const PlanCase& c = GetParam();
   const GpuConfig cfg = SmallGpu();
+  const ModelSettings backstops = Backstops().model;
   for (const char* workload : {"BFS", "SM"}) {
     const Application app = SmallApp(workload);
 
-    GpuModel clean(cfg, SelectionFor(SimLevel::kDetailed));
+    GpuModel clean(cfg, SelectionFor(SimLevel::kDetailed), nullptr,
+                   backstops);
     const SimResult baseline = clean.RunApplication(app);
 
     FaultInjector serial_inj(c.plan, cfg.num_sms);
-    GpuModel model(cfg, SelectionFor(SimLevel::kDetailed));
+    GpuModel model(cfg, SelectionFor(SimLevel::kDetailed), nullptr,
+                   backstops);
     model.ArmFaults(&serial_inj);
     const SimResult faulted = model.RunApplication(app);
 
@@ -215,14 +223,15 @@ TEST_P(ChaosSuite, CompletesWithInvariantsSeriallyAndParallel) {
 
     // Determinism: the same plan replays the same faults.
     FaultInjector repeat_inj(c.plan, cfg.num_sms);
-    GpuModel repeat(cfg, SelectionFor(SimLevel::kDetailed));
+    GpuModel repeat(cfg, SelectionFor(SimLevel::kDetailed), nullptr,
+                    backstops);
     repeat.ArmFaults(&repeat_inj);
     ExpectSameRun(faulted, repeat.RunApplication(app),
                   std::string(c.label) + "/" + workload + " repeat");
 
     // Stateless decisions: two concurrent batch lanes arming the same
     // plan each replay the identical fault schedule.
-    RunOptions options;
+    RunOptions options = Backstops();
     options.fault_plan = &c.plan;
     const ParallelBatchResult batch =
         RunAppsParallel({app, app}, cfg, SimLevel::kDetailed, 2, options);
@@ -247,11 +256,12 @@ TEST(Chaos, FreezeForeverTripsCycleWatchdog) {
   plan.issue_stall_p = 1.0;
   plan.issue_stall_cycles = 64;
   GpuConfig cfg = SmallGpu();
-  cfg.watchdog.stall_cycles = 5000;
-  cfg.watchdog.dump_dir = testing::TempDir() + "chaos_dumps";
+  ModelSettings settings = Backstops().model;
+  settings.watchdog.stall_cycles = 5000;
+  settings.watchdog.dump_dir = testing::TempDir() + "chaos_dumps";
   const Application app = SmallApp("SM");
   FaultInjector inj(plan, cfg.num_sms);
-  GpuModel model(cfg, SelectionFor(SimLevel::kDetailed));
+  GpuModel model(cfg, SelectionFor(SimLevel::kDetailed), nullptr, settings);
   model.ArmFaults(&inj);
   try {
     model.RunApplication(app);
@@ -264,7 +274,7 @@ TEST(Chaos, FreezeForeverTripsCycleWatchdog) {
               std::string::npos)
         << what;
     // Trips within a small multiple of the configured window.
-    EXPECT_LT(model.now(), Cycle{3} * cfg.watchdog.stall_cycles);
+    EXPECT_LT(model.now(), Cycle{3} * settings.watchdog.stall_cycles);
     ASSERT_FALSE(e.dump_path().empty());
     const std::string dump = ReadAll(e.dump_path());
     EXPECT_NE(dump.find("\"stalled\""), std::string::npos) << dump;
@@ -283,11 +293,12 @@ TEST(Chaos, DropForeverWedgesInsteadOfHanging) {
   plan.resp_drop_p = 1.0;
   plan.resp_max_drops = 0;  // never redeliver
   GpuConfig cfg = SmallGpu();
-  cfg.cycle_skip = true;
-  cfg.watchdog.dump_dir = testing::TempDir() + "chaos_dumps";
+  ModelSettings settings = Backstops().model;
+  settings.cycle_skip = true;
+  settings.watchdog.dump_dir = testing::TempDir() + "chaos_dumps";
   const Application app = SmallApp("BFS");
   FaultInjector inj(plan, cfg.num_sms);
-  GpuModel model(cfg, SelectionFor(SimLevel::kDetailed));
+  GpuModel model(cfg, SelectionFor(SimLevel::kDetailed), nullptr, settings);
   model.ArmFaults(&inj);
   try {
     model.RunApplication(app);
@@ -308,12 +319,13 @@ TEST(Chaos, DegradeOnHangFallsBackAnalytically) {
   plan.resp_drop_p = 1.0;
   plan.resp_max_drops = 0;
   GpuConfig cfg = SmallGpu();
-  cfg.cycle_skip = true;
-  cfg.degrade.on_hang = true;
-  cfg.watchdog.dump_dir = testing::TempDir() + "chaos_dumps";
+  RunOptions options = Backstops();
+  options.model.cycle_skip = true;
+  options.degrade.on_hang = true;
+  options.model.watchdog.dump_dir = testing::TempDir() + "chaos_dumps";
+  options.fault_plan = &plan;
   const Application app = SmallApp("BFS");
-  Simulator sim(app, cfg, SimLevel::kDetailed);
-  sim.ArmFaultPlan(&plan);
+  Simulator sim(app, cfg, SimLevel::kDetailed, options);
   const SimResult r = sim.Run();
   ASSERT_EQ(r.kernels.size(), app.kernels.size());
   ASSERT_GE(r.degrades.size(), 1u);
@@ -334,12 +346,13 @@ TEST(Chaos, RetryExhaustionRethrowsWhenDegradeOff) {
   plan.resp_drop_p = 1.0;
   plan.resp_max_drops = 0;
   GpuConfig cfg = SmallGpu();
-  cfg.cycle_skip = true;
-  cfg.degrade.on_hang = false;
-  cfg.degrade.max_retries = 1;  // deterministic fault recurs on retry
+  RunOptions options = Backstops();
+  options.model.cycle_skip = true;
+  options.degrade.on_hang = false;
+  options.degrade.max_retries = 1;  // deterministic fault recurs on retry
+  options.fault_plan = &plan;
   const Application app = SmallApp("SM");
-  Simulator sim(app, cfg, SimLevel::kDetailed);
-  sim.ArmFaultPlan(&plan);
+  Simulator sim(app, cfg, SimLevel::kDetailed, options);
   EXPECT_THROW(sim.Run(), SimHangError);
 }
 
@@ -348,7 +361,7 @@ TEST(Chaos, BatchIsolationCompletesAroundPoisonedApp) {
   const std::vector<Application> apps = {SmallApp("BFS"),
                                          Poisoned(SmallApp("SM")),
                                          SmallApp("PAGERANK")};
-  RunOptions options;
+  RunOptions options = Backstops();
   options.retries = 1;
   const ParallelBatchResult batch =
       RunAppsParallel(apps, cfg, SimLevel::kSwiftSimMemory, 2, options);
@@ -391,18 +404,19 @@ TEST(Chaos, OneClassifierAcrossSurfaces) {
   job.level = SimLevel::kDetailed;
   const Application app = BuildWorkload(job.workload, {job.scale, job.seed});
   for (const Case& c : cases) {
-    GpuConfig cfg =
+    const GpuConfig cfg =
         GpuConfig::FromIni(IniFile::ParseString(c.config_ini), GpuConfig());
-    cfg.watchdog.wall_seconds = c.timeout_sec;
-    cfg.degrade.on_hang = c.degrade;
-    const RunOutcome run = swiftsim::Run({app, cfg, job.level});
+    RunOptions options;
+    options.model.watchdog.wall_seconds = c.timeout_sec;
+    options.degrade.on_hang = c.degrade;
+    const RunOutcome run = swiftsim::Run({app, cfg, job.level, options});
     EXPECT_EQ(run.outcome.status, c.status) << c.label;
     EXPECT_EQ(run.error == nullptr, c.status == AppStatus::kOk ||
                                         c.status == AppStatus::kDegraded)
         << c.label;
 
     const ParallelBatchResult batch =
-        RunAppsParallel({app}, cfg, job.level, 1, RunOptions{});
+        RunAppsParallel({app}, cfg, job.level, 1, options);
     EXPECT_EQ(batch.statuses.at(0).status, c.status) << c.label;
 
     service::ServiceOptions opts;
@@ -435,7 +449,8 @@ TEST(Chaos, TraceTruncationStaysValidAndCompletes) {
   EXPECT_LT(faulted.TotalInstrs(), app.TotalInstrs());
   EXPECT_GT(faulted.TotalInstrs(), 0u);
   const GpuConfig cfg = SmallGpu();
-  const SimResult r = RunSimulation(faulted, cfg, SimLevel::kDetailed);
+  const SimResult r =
+      RunSimulation(faulted, cfg, SimLevel::kDetailed, Backstops());
   EXPECT_EQ(r.instructions, faulted.TotalInstrs());
 }
 
@@ -462,15 +477,15 @@ TEST(Chaos, ArmedObserversStayBitIdentical) {
   const Application app = SmallApp("BFS");
   for (SimLevel level : {SimLevel::kDetailed, SimLevel::kSwiftSimBasic,
                          SimLevel::kSwiftSimMemory}) {
-    GpuConfig off = Rtx2080TiConfig();
-    off.num_sms = 4;
-    off.num_mem_partitions = 2;
-    GpuConfig on = off;
-    on.watchdog.stall_cycles = 100000000;
-    on.watchdog.wall_seconds = 3600;
+    GpuConfig cfg = Rtx2080TiConfig();
+    cfg.num_sms = 4;
+    cfg.num_mem_partitions = 2;
+    RunOptions on;
+    on.model.watchdog.stall_cycles = 100000000;
+    on.model.watchdog.wall_seconds = 3600;
     on.degrade.on_hang = true;
-    ExpectSameRun(RunSimulation(app, off, level),
-                  RunSimulation(app, on, level), ToString(level));
+    ExpectSameRun(RunSimulation(app, cfg, level),
+                  RunSimulation(app, cfg, level, on), ToString(level));
   }
 }
 

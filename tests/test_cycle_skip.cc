@@ -1,5 +1,5 @@
 // Bit-identity tests for event-calendar cycle skipping (DESIGN.md §9):
-// with cfg.cycle_skip the cycle-accurate driver fast-forwards over spans
+// with cycle skipping on the cycle-accurate driver fast-forwards over spans
 // the wake calendar proves are no-op ticks. Every observable — total
 // cycles, per-kernel cycles, instruction counts, and every non-driver
 // metric (including per-SM stall accounting) — must match the plain
@@ -23,12 +23,20 @@
 namespace swiftsim {
 namespace {
 
-GpuConfig SmallGpu(bool cycle_skip) {
+GpuConfig SmallGpu() {
   GpuConfig cfg = Rtx2080TiConfig();
   cfg.num_sms = 4;
   cfg.num_mem_partitions = 2;
-  cfg.cycle_skip = cycle_skip;
   return cfg;
+}
+
+RunOptions Skip(bool cycle_skip) {
+  RunOptions options;
+  options.model.cycle_skip = cycle_skip;
+  // The knob does not key the memo, so a replay would stand in for the
+  // second run; simulate both.
+  options.memo = false;
+  return options;
 }
 
 Application SmallApp(const std::string& name) {
@@ -66,14 +74,13 @@ void ExpectIdentical(const SimResult& reference, const SimResult& skipped,
 }
 
 TEST(CycleSkip, SerialDetailedBitIdenticalAcrossAllWorkloads) {
-  const GpuConfig ref_cfg = SmallGpu(/*cycle_skip=*/false);
-  const GpuConfig skip_cfg = SmallGpu(/*cycle_skip=*/true);
+  const GpuConfig cfg = SmallGpu();
   for (const auto& spec : AllWorkloads()) {
     const Application app = SmallApp(spec.name);
     const SimResult reference =
-        RunSimulation(app, ref_cfg, SimLevel::kDetailed);
+        RunSimulation(app, cfg, SimLevel::kDetailed, Skip(false));
     const SimResult skipped =
-        RunSimulation(app, skip_cfg, SimLevel::kDetailed);
+        RunSimulation(app, cfg, SimLevel::kDetailed, Skip(true));
     ExpectIdentical(reference, skipped,
                     std::string(spec.name) + "/detailed");
   }
@@ -82,14 +89,13 @@ TEST(CycleSkip, SerialDetailedBitIdenticalAcrossAllWorkloads) {
 TEST(CycleSkip, SerialSiliconBitIdentical) {
   // kSilicon adds launch overhead and DRAM refresh; the refresh edge must
   // appear in the memory calendar or a skip would jump straight over it.
-  const GpuConfig ref_cfg = SmallGpu(false);
-  const GpuConfig skip_cfg = SmallGpu(true);
+  const GpuConfig cfg = SmallGpu();
   for (const char* name : {"GEMM", "BFS", "HOTSPOT"}) {
     const Application app = SmallApp(name);
     const SimResult reference =
-        RunSimulation(app, ref_cfg, SimLevel::kSilicon);
+        RunSimulation(app, cfg, SimLevel::kSilicon, Skip(false));
     const SimResult skipped =
-        RunSimulation(app, skip_cfg, SimLevel::kSilicon);
+        RunSimulation(app, cfg, SimLevel::kSilicon, Skip(true));
     ExpectIdentical(reference, skipped, std::string(name) + "/silicon");
   }
 }
@@ -100,11 +106,11 @@ TEST(CycleSkip, ActuallySkipsOnMemoryBoundWork) {
   // cycles there; with the knob off the counters must stay zero.
   const Application app = SmallApp("BFS");
   const SimResult skipped =
-      RunSimulation(app, SmallGpu(true), SimLevel::kDetailed);
+      RunSimulation(app, SmallGpu(), SimLevel::kDetailed, Skip(true));
   EXPECT_GT(skipped.metrics.at("driver.cycles_skipped"), 0u);
   EXPECT_GT(skipped.metrics.at("driver.skip_jumps"), 0u);
   const SimResult reference =
-      RunSimulation(app, SmallGpu(false), SimLevel::kDetailed);
+      RunSimulation(app, SmallGpu(), SimLevel::kDetailed, Skip(false));
   EXPECT_EQ(reference.metrics.at("driver.cycles_skipped"), 0u);
   EXPECT_EQ(reference.metrics.at("driver.skip_jumps"), 0u);
 }
@@ -112,7 +118,7 @@ TEST(CycleSkip, ActuallySkipsOnMemoryBoundWork) {
 TEST(CycleSkip, SpanHistogramAccountsEveryJump) {
   const Application app = SmallApp("BFS");
   const SimResult r =
-      RunSimulation(app, SmallGpu(true), SimLevel::kDetailed);
+      RunSimulation(app, SmallGpu(), SimLevel::kDetailed, Skip(true));
   std::uint64_t hist_total = 0;
   for (unsigned k = 0; k < 8; ++k) {
     hist_total +=
@@ -127,8 +133,8 @@ TEST(CycleSkip, HybridLevelsIgnoreTheKnob) {
   const Application app = SmallApp("SM");
   for (SimLevel level :
        {SimLevel::kSwiftSimBasic, SimLevel::kSwiftSimMemory}) {
-    const SimResult on = RunSimulation(app, SmallGpu(true), level);
-    const SimResult off = RunSimulation(app, SmallGpu(false), level);
+    const SimResult on = RunSimulation(app, SmallGpu(), level, Skip(true));
+    const SimResult off = RunSimulation(app, SmallGpu(), level, Skip(false));
     ExpectIdentical(on, off, ToString(level));
   }
 }
@@ -136,15 +142,13 @@ TEST(CycleSkip, HybridLevelsIgnoreTheKnob) {
 TEST(CycleSkip, TightenedL2DrainBudgetStaysBitIdentical) {
   // The hoisted mem.l2_drain_attempts knob changes contention timing, so
   // the calendar must stay exact under a non-default budget too.
-  GpuConfig ref_cfg = SmallGpu(false);
-  GpuConfig skip_cfg = SmallGpu(true);
-  ref_cfg.l2_drain_attempts = 1;
-  skip_cfg.l2_drain_attempts = 1;
+  GpuConfig cfg = SmallGpu();
+  cfg.l2_drain_attempts = 1;
   const Application app = SmallApp("BFS");
   const SimResult reference =
-      RunSimulation(app, ref_cfg, SimLevel::kDetailed);
+      RunSimulation(app, cfg, SimLevel::kDetailed, Skip(false));
   const SimResult skipped =
-      RunSimulation(app, skip_cfg, SimLevel::kDetailed);
+      RunSimulation(app, cfg, SimLevel::kDetailed, Skip(true));
   ExpectIdentical(reference, skipped, "BFS/detailed/l2_drain_attempts=1");
 }
 
@@ -262,8 +266,6 @@ Application Poisoned(Application app) {
 GpuConfig GoldenConfig(const GoldenRow& row) {
   GpuConfig cfg = PresetByName(row.gpu);
   cfg.sched_policy = row.policy;
-  cfg.cycle_skip = row.skip;
-  cfg.memo.enabled = false;  // simulate every launch, never replay
   if (row.variant == GoldenVariant::kWideSubCore) {
     // One sub-core holding 96 warp slots: its live-slot set spans two
     // 64-bit words.
@@ -273,39 +275,50 @@ GpuConfig GoldenConfig(const GoldenRow& row) {
     cfg.registers_per_sm = 4 * 65536;
     cfg.max_ctas_per_sm = 32;
   }
-  if (row.variant == GoldenVariant::kWallDegrade) {
-    // The budget expires at the first wall-clock check (every 4096th
-    // poll), so each kernel long enough to reach one degrades.
-    cfg.watchdog.wall_seconds = 1e-9;
-    cfg.degrade.on_hang = true;
-  }
-  if (row.variant == GoldenVariant::kFaultRetry) cfg.degrade.max_retries = 1;
   return cfg;
 }
 
+RunOptions GoldenOptions(const GoldenRow& row) {
+  RunOptions options;
+  options.model.cycle_skip = row.skip;
+  options.memo = false;  // simulate every launch, never replay
+  if (row.variant == GoldenVariant::kWallDegrade) {
+    // The budget expires at the first wall-clock check (every 4096th
+    // poll), so each kernel long enough to reach one degrades.
+    options.model.watchdog.wall_seconds = 1e-9;
+    options.degrade.on_hang = true;
+  }
+  if (row.variant == GoldenVariant::kFaultRetry) {
+    options.degrade.max_retries = 1;
+  }
+  return options;
+}
+
 SimResult RunGoldenRow(const GoldenRow& row, const Application& app) {
-  GpuConfig cfg = GoldenConfig(row);
+  const GpuConfig cfg = GoldenConfig(row);
+  RunOptions options = GoldenOptions(row);
   if (row.variant == GoldenVariant::kMemoCold ||
       row.variant == GoldenVariant::kMemoWarm) {
-    cfg.memo.enabled = true;
+    options.memo = true;
     MemoCache::Global().Clear();
     ProfileCache::Global().Clear();
     const Application repeated = RepeatLaunches(app, 4);
     if (row.variant == GoldenVariant::kMemoWarm) {
-      RunSimulation(repeated, cfg, row.level);
+      RunSimulation(repeated, cfg, row.level, options);
     }
-    return RunSimulation(repeated, cfg, row.level);
+    return RunSimulation(repeated, cfg, row.level, options);
   }
+  const FaultPlan truncate = TruncatePlan();
   if (row.variant == GoldenVariant::kTraceFaults) {
-    const FaultPlan plan = TruncatePlan();
-    return Run({app, cfg, row.level, {&plan}}).TakeOrThrow();
+    options.fault_plan = &truncate;
+    return Run({app, cfg, row.level, options}).TakeOrThrow();
   }
-  Simulator sim(app, cfg, row.level);
   const FaultPlan plan = StormDelayPlan();
   if (row.variant == GoldenVariant::kFaults ||
       row.variant == GoldenVariant::kFaultRetry) {
-    sim.ArmFaultPlan(&plan);
+    options.fault_plan = &plan;
   }
+  Simulator sim(app, cfg, row.level, options);
   return sim.Run();
 }
 
@@ -313,9 +326,11 @@ SimResult RunGoldenRow(const GoldenRow& row, const Application& app) {
 /// attempt count.
 std::string GoldenBatchDigest(const GoldenRow& row, const Application& app) {
   const FaultPlan plan = StormDelayPlan();
-  const ParallelBatchResult batch =
-      RunAppsParallel({app, Poisoned(app)}, GoldenConfig(row), row.level, 2,
-                      {.fault_plan = &plan, .retries = 1});
+  RunOptions options = GoldenOptions(row);
+  options.fault_plan = &plan;
+  options.retries = 1;
+  const ParallelBatchResult batch = RunAppsParallel(
+      {app, Poisoned(app)}, GoldenConfig(row), row.level, 2, options);
   FpHasher h;
   for (std::size_t i = 0; i < batch.results.size(); ++i) {
     h.MixString(GoldenDigest(batch.results[i]));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -256,10 +257,6 @@ TEST(MalformedIni, GpuConfigRejectsBadValues) {
   EXPECT_THROW(
       GpuConfig::FromIni(IniFile::ParseString("[gpu]\nnum_sms = 0\n")),
       SimError);
-  EXPECT_THROW(
-      GpuConfig::FromIni(IniFile::ParseString("[watchdog]\nwall_seconds = "
-                                              "-5\n")),
-      SimError);
   EXPECT_THROW(GpuConfig::FromIni(IniFile::ParseFile("/nonexistent/gpu.ini")),
                SimError);
 }
@@ -479,11 +476,27 @@ TEST(MalformedServiceRequest, OversizedLineRejectedBeforeParsing) {
   EXPECT_EQ(code, service::ErrorCode::kOversized);
 }
 
+// Run settings are not GpuConfig keys: a request config that sets one
+// would otherwise reach the daemon's process-wide caches, its dump
+// directories or its watchdog.
+const char* const kRunSettingConfigs[] = {
+    "[sim]\\ncycle_skip = false\\n",
+    "[memo]\\nenabled = false\\n",
+    "[memo]\\nmax_entries = 1\\n",
+    "[memo]\\nmax_bytes = 1\\n",
+    "[trace]\\ncache_dir = traces\\n",
+    "[watchdog]\\nstall_cycles = 2\\n",
+    "[watchdog]\\nwall_seconds = 100\\n",
+    "[watchdog]\\ndump_dir = dumps\\n",
+    "[degrade]\\non_hang = true\\n",
+    "[degrade]\\nmax_retries = 1\\n",
+};
+
 TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
   // The whole table streamed at a live service, interleaved with jobs the
   // registry and config layers must reject (unknown workload, unknown INI
-  // key, unknown preset) — every line gets a typed error response and the
-  // daemon answers a healthy job afterwards.
+  // key, run-setting keys, unknown preset) — every line gets a typed error
+  // response and the daemon answers a healthy job afterwards.
   service::ServiceOptions opt;
   opt.threads = 1;
   service::SimulationService svc(opt);
@@ -493,6 +506,11 @@ TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
   stream << R"({"op":"simulate","id":"ghost","workload":"NO_SUCH"})" << "\n";
   stream << R"({"op":"simulate","id":"badkey","workload":"NW",)"
          << R"("config":"[gpu]\nno_such_knob = 1\n"})" << "\n";
+  for (std::size_t i = 0; i < std::size(kRunSettingConfigs); ++i) {
+    stream << R"({"op":"simulate","id":"runkey)" << i
+           << R"(","workload":"NW","config":")" << kRunSettingConfigs[i]
+           << R"("})" << "\n";
+  }
   stream << R"({"op":"simulate","id":"badpreset","workload":"NW",)"
          << R"("preset":"rtx9090"})" << "\n";
   stream << R"({"op":"simulate","id":"healthy","workload":"NW",)"
@@ -519,11 +537,16 @@ TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
       healthy_ok = v.Find("ok")->AsBool();
     }
   }
-  // One response per request line: the table, 3 rejected jobs, the
+  // One response per request line: the table, the rejected jobs, the
   // healthy job, the shutdown acknowledgement.
-  EXPECT_EQ(responses, BadRequestLines().size() + 5);
+  EXPECT_EQ(responses,
+            BadRequestLines().size() + std::size(kRunSettingConfigs) + 5);
   EXPECT_EQ(error_by_id["ghost"], "unknown_workload");
   EXPECT_EQ(error_by_id["badkey"], "bad_config");
+  for (std::size_t i = 0; i < std::size(kRunSettingConfigs); ++i) {
+    EXPECT_EQ(error_by_id["runkey" + std::to_string(i)], "bad_config")
+        << kRunSettingConfigs[i];
+  }
   EXPECT_EQ(error_by_id["badpreset"], "bad_config");
   EXPECT_TRUE(healthy_ok) << "daemon did not serve a healthy job after the "
                              "malformed stream";

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <latch>
 #include <map>
@@ -195,8 +196,19 @@ TEST(CanonicalConfigHash, SensitiveToAnyIniField) {
   const GpuConfig base = SmallGpu();
   GpuConfig timing = base;
   timing.l2.latency += 1;
-  GpuConfig knobs = base;
-  knobs.memo.max_bytes += 1;
+  GpuConfig tail_timing = base;  // the last field ToIniString writes
+  tail_timing.effects.dram_latency_extra += 1;
+  // Run settings are not config keys: an INI setting all ten of them
+  // keys the same memo/DSE entries as the plain config.
+  const GpuConfig run_keys = GpuConfig::FromIni(
+      IniFile::ParseString("[sim]\ncycle_skip = false\n"
+                           "[memo]\nenabled = false\nmax_entries = 1\n"
+                           "max_bytes = 1\n"
+                           "[trace]\ncache_dir = traces\n"
+                           "[watchdog]\nstall_cycles = 2\n"
+                           "wall_seconds = 3\ndump_dir = dumps\n"
+                           "[degrade]\non_hang = true\nmax_retries = 4\n"),
+      base);
   // Older INIs may still carry [parallel] mode, the removed memo
   // convergence knobs or [trace] parallel_build; stale keys are ignored,
   // so they key the same memo/DSE entries.
@@ -213,8 +225,20 @@ TEST(CanonicalConfigHash, SensitiveToAnyIniField) {
   EXPECT_EQ(base.CanonicalHash(), legacy.CanonicalHash());
   EXPECT_EQ(base.CanonicalHash(), legacy_memo.CanonicalHash());
   EXPECT_EQ(base.CanonicalHash(), legacy_trace.CanonicalHash());
+  EXPECT_EQ(base.CanonicalHash(), run_keys.CanonicalHash());
   EXPECT_NE(base.CanonicalHash(), timing.CanonicalHash());
-  EXPECT_NE(base.CanonicalHash(), knobs.CanonicalHash());
+  EXPECT_NE(base.CanonicalHash(), tail_timing.CanonicalHash());
+}
+
+TEST(CanonicalConfigHash, DoublesKeyToTheLastBit) {
+  const GpuConfig base = SmallGpu();
+  GpuConfig next = base;
+  next.effects.icache_miss_rate =
+      std::nextafter(base.effects.icache_miss_rate, 1.0);
+  EXPECT_NE(base.CanonicalHash(), next.CanonicalHash());
+  const GpuConfig reloaded =
+      GpuConfig::FromIni(IniFile::ParseString(next.ToIniString()));
+  EXPECT_EQ(reloaded.effects.icache_miss_rate, next.effects.icache_miss_rate);
 }
 
 TEST(GeometryHash, IgnoresTimingOnlyFields) {
@@ -230,12 +254,12 @@ TEST(GeometryHash, IgnoresTimingOnlyFields) {
 
 TEST(MemoMemoryLevel, BitIdenticalReplay) {
   const GpuConfig cfg = SmallGpu();
-  GpuConfig no_memo = cfg;
-  no_memo.memo.enabled = false;
+  RunOptions no_memo;
+  no_memo.memo = false;
   for (const char* name : {"BFS", "PAGERANK"}) {
     const Application app = RepeatLaunches(SmallApp(name), 6);
     const SimResult fresh =
-        RunSimulation(app, no_memo, SimLevel::kSwiftSimMemory);
+        RunSimulation(app, cfg, SimLevel::kSwiftSimMemory, no_memo);
     ClearGlobalCaches();
     const SimResult cold =
         RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
@@ -273,11 +297,12 @@ TEST(MemoBasicLevel, NoReplayAtCycleAccurateMemory) {
 
 TEST(MemoDisabled, NoMemoBypassesEveryLayer) {
   GpuConfig cfg = SmallGpu();
-  cfg.memo.enabled = false;
+  RunOptions no_memo;
+  no_memo.memo = false;
   ClearGlobalCaches();
   const Application app = RepeatLaunches(SmallApp("BFS"), 3);
   const SimResult r =
-      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory, no_memo);
   EXPECT_EQ(r.metrics.count("memo.hits"), 0u);
   EXPECT_EQ(MemoCache::Global().size(), 0u);
   EXPECT_EQ(ProfileCache::Global().size(), 0u);
@@ -419,17 +444,18 @@ TEST(MemoEviction, CappedRunStaysExact) {
   // End-to-end: a tiny entry cap forces constant churn yet every replayed
   // result must stay bit-identical to the fresh run.
   ClearGlobalCaches();
-  GpuConfig fresh_cfg = SmallGpu();
-  fresh_cfg.memo.enabled = false;
-  GpuConfig capped = SmallGpu();
-  capped.memo.enabled = true;
-  capped.memo.max_entries = 1;
+  const GpuConfig cfg = SmallGpu();
+  RunOptions fresh_run;
+  fresh_run.memo = false;
+  MemoCache::Global().SetLimits(/*max_entries=*/1, /*max_bytes=*/0);
+  ProfileCache::Global().SetMaxEntries(1);
   const Application app = RepeatLaunches(SmallApp("BFS"), 4);
   const SimResult fresh =
-      RunSimulation(app, fresh_cfg, SimLevel::kSwiftSimMemory);
-  const SimResult memo =
-      RunSimulation(app, capped, SimLevel::kSwiftSimMemory);
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory, fresh_run);
+  const SimResult memo = RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
   ExpectIdentical(fresh, memo, "capped memo run");
+  MemoCache::Global().SetLimits(0, 0);
+  ProfileCache::Global().SetMaxEntries(0);
   ClearGlobalCaches();
 }
 

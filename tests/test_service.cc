@@ -237,6 +237,81 @@ TEST_F(ServiceTest, DifferentConfigsDoNotCoalesce) {
   EXPECT_EQ(svc.stats().coalesced, 0u);
 }
 
+TEST_F(ServiceTest, TwinsWithDifferentWallBudgetsDoNotCoalesce) {
+  // The budgets differ below the precision the config INI prints, so
+  // only an exact budget in the coalescing key tells them apart.
+  ServiceOptions opt;
+  opt.threads = 1;
+  opt.max_concurrent = 1;  // one lane: the blocker keeps both twins queued
+  SimulationService svc(opt);
+  JobRequest blocker = Job("blocker", "BFS", /*iterations=*/1,
+                           /*seed=*/0xb10c);
+  JobRequest a = Job("budget-a", "NW");
+  a.timeout_sec = 100.0000001;
+  JobRequest b = a;
+  b.id = "budget-b";
+  b.timeout_sec = 100.0000002;
+
+  std::mutex mu;
+  std::vector<Response> got;
+  std::atomic<int> pending{3};
+  for (const JobRequest& j : {blocker, a, b}) {
+    Response rejection;
+    ASSERT_TRUE(svc.Submit(
+        j,
+        [&](const Response& r) {
+          std::lock_guard<std::mutex> lk(mu);
+          got.push_back(r);
+          pending.fetch_sub(1);
+        },
+        &rejection))
+        << rejection.error_message;
+  }
+  while (pending.load() > 0) std::this_thread::yield();
+  for (const Response& r : got) {
+    ASSERT_TRUE(r.ok) << r.id << ": " << r.error_message;
+    EXPECT_FALSE(r.coalesced) << r.id << " inherited a twin's budget";
+  }
+  EXPECT_EQ(svc.stats().coalesced, 0u);
+}
+
+TEST_F(ServiceTest, RequestTimeoutSharesTheMemo) {
+  // A wall budget drives the run; it does not change what is simulated,
+  // so a timed request replays every launch an untimed one recorded.
+  SimulationService svc(ServiceOptions{});
+  const JobRequest plain = Job("plain", "BFS", /*iterations=*/4);
+  const Response first = svc.SubmitAndWait(plain);
+  ASSERT_TRUE(first.ok) << first.error_message;
+  JobRequest timed = plain;
+  timed.id = "timed";
+  timed.timeout_sec = 100;
+  const Response again = svc.SubmitAndWait(timed);
+  ASSERT_TRUE(again.ok) << again.error_message;
+  EXPECT_EQ(again.cycles, first.cycles);
+  EXPECT_EQ(again.memo_hits, 8u);
+  EXPECT_EQ(again.memo_misses, 0u);
+}
+
+TEST_F(ServiceTest, DaemonCacheCapsHoldAcrossJobs) {
+  // The caps belong to the daemon: no job may lift them.
+  struct Uncap {
+    ~Uncap() {
+      MemoCache::Global().SetLimits(0, 0);
+      ProfileCache::Global().SetMaxEntries(0);
+    }
+  } uncap;
+  ServiceOptions opt;
+  opt.threads = 1;
+  opt.memo_max_entries = 2;
+  SimulationService svc(opt);
+  for (const char* workload : {"BFS", "NW", "GEMM"}) {
+    const Response r = svc.SubmitAndWait(Job(workload, workload));
+    ASSERT_TRUE(r.ok) << workload << ": " << r.error_message;
+  }
+  EXPECT_LE(MemoCache::Global().size(), 2u);
+  EXPECT_LE(ProfileCache::Global().size(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Admission control and per-request isolation.
 
@@ -308,6 +383,15 @@ TEST_F(ServiceTest, WatchdogTimeoutIsIsolatedAndServiceKeepsServing) {
   Response ok = svc.SubmitAndWait(fine);
   ASSERT_TRUE(ok.ok) << ok.error_message;
   EXPECT_EQ(ok.cycles, want);
+}
+
+TEST_F(ServiceTest, WallBudgetBeyondTheClockNeverExpires) {
+  SimulationService svc(ServiceOptions{});
+  JobRequest far = Job("far", "BFS", /*iterations=*/1, /*seed=*/0xfa4);
+  far.timeout_sec = 1e300;
+  const Response r = svc.SubmitAndWait(far);
+  EXPECT_TRUE(r.ok) << r.error_message;
+  EXPECT_EQ(r.cycles, Reference(far));
 }
 
 // ---------------------------------------------------------------------------

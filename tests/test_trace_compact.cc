@@ -31,10 +31,12 @@ WorkloadScale TestScale() {
   return s;  // default seed 0x5eed5eed
 }
 
-GpuConfig TestConfig() {
-  GpuConfig cfg;
-  cfg.memo.enabled = false;
-  return cfg;
+GpuConfig TestConfig() { return GpuConfig(); }
+
+RunOptions NoMemo() {
+  RunOptions options;
+  options.memo = false;
+  return options;
 }
 
 /// Golden values captured from the AoS seed build (scale 0.05, default
@@ -102,29 +104,33 @@ TEST(TraceCompact, GoldenFingerprintsAndInstrCounts) {
 
 TEST(TraceCompact, GoldenCyclesAtEveryLevelSerial) {
   const GpuConfig cfg = TestConfig();
+  const RunOptions run = NoMemo();
   for (const Golden& g : Goldens()) {
     const Application app = BuildWorkload(g.app, TestScale());
-    EXPECT_EQ(RunSimulation(app, cfg, SimLevel::kDetailed).total_cycles,
+    EXPECT_EQ(RunSimulation(app, cfg, SimLevel::kDetailed, run).total_cycles,
               g.detailed)
         << g.app;
-    EXPECT_EQ(RunSimulation(app, cfg, SimLevel::kSwiftSimBasic).total_cycles,
-              g.basic)
+    EXPECT_EQ(
+        RunSimulation(app, cfg, SimLevel::kSwiftSimBasic, run).total_cycles,
+        g.basic)
         << g.app;
-    EXPECT_EQ(RunSimulation(app, cfg, SimLevel::kSwiftSimMemory).total_cycles,
-              g.memory)
+    EXPECT_EQ(
+        RunSimulation(app, cfg, SimLevel::kSwiftSimMemory, run).total_cycles,
+        g.memory)
         << g.app;
   }
 }
 
 TEST(TraceCompact, CycleSkipOnOffIdentical) {
-  GpuConfig on = TestConfig();
-  on.cycle_skip = true;
-  GpuConfig off = TestConfig();
-  off.cycle_skip = false;
+  const GpuConfig cfg = TestConfig();
+  RunOptions on = NoMemo();
+  on.model.cycle_skip = true;
+  RunOptions off = NoMemo();
+  off.model.cycle_skip = false;
   for (const Golden& g : Goldens()) {
     const Application app = BuildWorkload(g.app, TestScale());
-    EXPECT_EQ(RunSimulation(app, on, SimLevel::kDetailed).total_cycles,
-              RunSimulation(app, off, SimLevel::kDetailed).total_cycles)
+    EXPECT_EQ(RunSimulation(app, cfg, SimLevel::kDetailed, on).total_cycles,
+              RunSimulation(app, cfg, SimLevel::kDetailed, off).total_cycles)
         << g.app;
   }
 }
@@ -132,8 +138,7 @@ TEST(TraceCompact, CycleSkipOnOffIdentical) {
 TEST(TraceCompact, MemoReplayIdentical) {
   // Memoized replay fingerprints the columnar trace; a second run of the
   // same application must replay to exactly the fresh run's cycles.
-  GpuConfig cfg = TestConfig();
-  cfg.memo.enabled = true;
+  const GpuConfig cfg = TestConfig();
   const Application app = BuildWorkload("SSSP", TestScale());
   Simulator sim(app, cfg, SimLevel::kSwiftSimMemory);
   const Cycle fresh = sim.Run().total_cycles;
@@ -164,8 +169,10 @@ TEST(TraceCompact, ShrinkToFitTrimsColumnsAndKeepsResults) {
     EXPECT_EQ(t.TotalInstrs(), p.TotalInstrs()) << k;
     EXPECT_EQ(t.TraceBytes(), p.TraceBytes()) << k;
   }
-  const SimResult want = RunSimulation(plain, cfg, SimLevel::kSwiftSimMemory);
-  const SimResult got = RunSimulation(trimmed, cfg, SimLevel::kSwiftSimMemory);
+  const SimResult want =
+      RunSimulation(plain, cfg, SimLevel::kSwiftSimMemory, NoMemo());
+  const SimResult got =
+      RunSimulation(trimmed, cfg, SimLevel::kSwiftSimMemory, NoMemo());
   EXPECT_EQ(got.total_cycles, want.total_cycles);
   EXPECT_EQ(got.instructions, want.instructions);
   EXPECT_EQ(got.metrics, want.metrics);

@@ -20,13 +20,18 @@
 // op drains every admitted job, persists the memo file (when configured)
 // and acknowledges last.
 #include <atomic>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <sys/socket.h>
@@ -34,6 +39,7 @@
 #include <unistd.h>
 
 #include "common/status.h"
+#include "common/strutil.h"
 #include "swiftsim/service.h"
 #include "swiftsim/supervisor.h"
 
@@ -61,13 +67,18 @@ per line on stdin (default) or a unix socket, one JSON response per line.
   --queue N             admission queue capacity (default 64)
   --memo-file PATH      load memo cache on start, save on shutdown
   --trace-cache DIR     on-disk compact trace cache directory
-  --timeout-sec S       default per-request wall-clock watchdog (0 = off)
+  --timeout-sec S       default per-request wall-clock watchdog (0 = off);
+                        a request's "timeout_sec" overrides it
   --watchdog-cycles N   stall-window watchdog in simulated cycles (0 = off)
   --degrade-on-hang     analytical fallback instead of a timeout error
   --max-scale S         reject jobs with scale > S (default 2.0)
   --max-iterations N    reject jobs with iterations > N (default 1024)
   --memo-max-entries N  cap the global memo/profile caches (0 = unbounded)
   --memo-max-bytes N    cap the memo cache footprint (0 = unbounded)
+
+Run settings come from these flags only. A request's "config" is sparse
+GpuConfig INI and describes the GPU; a run-setting key in it ([sim],
+[memo], [trace], [watchdog], [degrade]) is rejected with bad_config.
 
 Crash recovery (DESIGN.md §16; stdin/stdout transport only):
   --supervise           run the service in a forked worker, restart it on
@@ -93,104 +104,79 @@ struct Flags {
   ServiceOptions svc;
 };
 
-bool ParseFlags(int argc, char** argv, Flags* out) {
-  auto need_value = [&](int i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "swiftsimd: %s requires a value\n", argv[i]);
-      return nullptr;
+// A value flag's destination; its type picks the strict parser.
+using Target = std::variant<std::string*, unsigned*, std::uint64_t*, double*>;
+
+// Parses `v` into `target`: a negative, malformed or out-of-range value
+// (one that does not fit `unsigned`, or a non-finite or negative double)
+// throws SimError instead of wrapping or truncating.
+void SetValue(const Target& target, const char* v, const std::string& flag) {
+  if (auto* s = std::get_if<std::string*>(&target)) {
+    **s = v;
+  } else if (auto* u = std::get_if<unsigned*>(&target)) {
+    const std::uint64_t n = swiftsim::ParseUint(v, flag);
+    if (n > std::numeric_limits<unsigned>::max()) {
+      throw SimError("'" + std::string(v) + "' does not fit " + flag);
     }
-    return argv[i + 1];
+    **u = static_cast<unsigned>(n);
+  } else if (auto* n = std::get_if<std::uint64_t*>(&target)) {
+    **n = swiftsim::ParseUint(v, flag);
+  } else {
+    const double d = swiftsim::ParseDouble(v, flag);
+    if (!std::isfinite(d) || d < 0) {
+      throw SimError(flag + " must be a finite value >= 0");
+    }
+    *std::get<double*>(target) = d;
+  }
+}
+
+bool ParseFlags(int argc, char** argv, Flags* out) {
+  ServiceOptions& svc = out->svc;
+  SupervisorOptions& sup = out->sup;
+  const std::map<std::string, Target> value_flags = {
+      {"--socket", &out->socket_path},
+      {"--threads", &svc.threads},
+      {"--max-concurrent", &svc.max_concurrent},
+      {"--queue", &svc.queue_capacity},
+      {"--memo-file", &svc.memo_file},
+      {"--trace-cache", &svc.trace_cache_dir},
+      {"--timeout-sec", &svc.default_timeout_sec},
+      {"--watchdog-cycles", &svc.watchdog_cycles},
+      {"--max-scale", &svc.limits.max_scale},
+      {"--max-iterations", &svc.limits.max_iterations},
+      {"--memo-max-entries", &svc.memo_max_entries},
+      {"--memo-max-bytes", &svc.memo_max_bytes},
+      {"--max-restarts", &sup.max_restarts},
+      {"--job-retries", &sup.max_job_retries},
+      {"--restart-backoff", &sup.backoff_initial_ms},
+      {"--job-journal", &sup.job_journal},
+      {"--worker-pid-file", &sup.worker_pid_file},
   };
   for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto take = [&]() -> const char* {
-      const char* v = need_value(i);
-      if (v != nullptr) ++i;
-      return v;
-    };
+    const std::string flag = argv[i];
+    if (flag == "--help" || flag == "-h") {
+      PrintUsage();
+      std::exit(0);
+    } else if (flag == "--degrade-on-hang") {
+      svc.degrade_on_hang = true;
+      continue;
+    } else if (flag == "--supervise") {
+      out->supervise = true;
+      continue;
+    }
+    const auto it = value_flags.find(flag);
+    if (it == value_flags.end()) {
+      std::fprintf(stderr, "swiftsimd: unknown flag '%s'\n", flag.c_str());
+      PrintUsage();
+      return false;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "swiftsimd: %s requires a value\n", flag.c_str());
+      return false;
+    }
     try {
-      if (flag == "--help" || flag == "-h") {
-        PrintUsage();
-        std::exit(0);
-      } else if (flag == "--socket") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->socket_path = v;
-      } else if (flag == "--threads") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.threads = static_cast<unsigned>(std::stoul(v));
-      } else if (flag == "--max-concurrent") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.max_concurrent = static_cast<unsigned>(std::stoul(v));
-      } else if (flag == "--queue") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.queue_capacity = static_cast<unsigned>(std::stoul(v));
-      } else if (flag == "--memo-file") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.memo_file = v;
-      } else if (flag == "--trace-cache") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.trace_cache_dir = v;
-      } else if (flag == "--timeout-sec") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.default_timeout_sec = std::stod(v);
-      } else if (flag == "--watchdog-cycles") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.watchdog_cycles = std::stoull(v);
-      } else if (flag == "--degrade-on-hang") {
-        out->svc.degrade_on_hang = true;
-      } else if (flag == "--max-scale") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.limits.max_scale = std::stod(v);
-      } else if (flag == "--max-iterations") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.limits.max_iterations =
-            static_cast<unsigned>(std::stoul(v));
-      } else if (flag == "--memo-max-entries") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.memo_max_entries = std::stoull(v);
-      } else if (flag == "--memo-max-bytes") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->svc.memo_max_bytes = std::stoull(v);
-      } else if (flag == "--supervise") {
-        out->supervise = true;
-      } else if (flag == "--max-restarts") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->sup.max_restarts = static_cast<unsigned>(std::stoul(v));
-      } else if (flag == "--job-retries") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->sup.max_job_retries = static_cast<unsigned>(std::stoul(v));
-      } else if (flag == "--restart-backoff") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->sup.backoff_initial_ms = std::stod(v);
-      } else if (flag == "--job-journal") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->sup.job_journal = v;
-      } else if (flag == "--worker-pid-file") {
-        const char* v = take();
-        if (v == nullptr) return false;
-        out->sup.worker_pid_file = v;
-      } else {
-        std::fprintf(stderr, "swiftsimd: unknown flag '%s'\n", flag.c_str());
-        PrintUsage();
-        return false;
-      }
-    } catch (const std::exception& e) {
+      SetValue(it->second, argv[++i], flag);
+    } catch (const SimError& e) {
       std::fprintf(stderr, "swiftsimd: bad value for %s: %s\n", flag.c_str(),
                    e.what());
       return false;
