@@ -56,7 +56,7 @@ std::string CpuModel() {
 // A value flag whose value must be a non-empty path.
 BenchFlag PathFlag(const char* name, std::string* out) {
   return {name, true, [name, out](const std::string& v) {
-            SS_CHECK(!v.empty(), std::string(name) + " needs a path");
+            if (v.empty()) throw SimError(std::string(name) + " needs a path");
             *out = v;
           }};
 }
@@ -85,7 +85,7 @@ BenchOptions ParseOptions(int argc, char** argv, double default_scale,
        {"--scale", true,
         [&opt](const std::string& v) {
           opt.scale = ParseDouble(v, "--scale");
-          SS_CHECK(opt.scale > 0, "--scale must be positive");
+          if (!(opt.scale > 0)) throw SimError("--scale must be positive");
         }}},
       {kApps,
        {"--apps", true,
@@ -104,8 +104,9 @@ BenchOptions ParseOptions(int argc, char** argv, double default_scale,
         [&opt](const std::string& v) {
           double& budget = opt.run.model.watchdog.wall_seconds;
           budget = ParseDouble(v, "--timeout-sec");
-          SS_CHECK(std::isfinite(budget) && budget >= 0,
-                   "--timeout-sec must be a finite value >= 0");
+          if (!std::isfinite(budget) || budget < 0) {
+            throw SimError("--timeout-sec must be a finite value >= 0");
+          }
         }}},
       {kWatchdog, PathFlag("--dump-dir", &opt.run.model.watchdog.dump_dir)},
       {kDegrade,
@@ -113,7 +114,7 @@ BenchOptions ParseOptions(int argc, char** argv, double default_scale,
       {kFaultPlan,
        {"--fault-plan", true,
         [&opt](const std::string& v) {
-          SS_CHECK(!v.empty(), "--fault-plan needs a path");
+          if (v.empty()) throw SimError("--fault-plan needs a path");
           opt.fault_plan =
               std::make_shared<const FaultPlan>(FaultPlan::FromFile(v));
           opt.run.fault_plan = opt.fault_plan.get();

@@ -13,6 +13,7 @@
 //              served from the caches
 //
 // Exits non-zero on any exactness violation.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -46,18 +47,26 @@ int RunMemo(Bench& b) {
   const GpuConfig gpu = Rtx2080TiConfig();
   RunOptions fresh_run = b.opt().run;
   fresh_run.memo = false;
-  // Runs one arm, records it under `arm` and returns the record.
+  // Runs one arm, records it under `arm` and returns the record. wall_s
+  // leaves out model construction and the final snapshot; run_s is the
+  // whole Run, pre-pass or profile fetch included.
   const auto run_arm = [&b, &gpu](const Application& app,
                                   const RunOptions& run, const char* arm) {
-    Record r = RecordOf(Run({app, gpu, SimLevel::kSwiftSimMemory, run}));
+    const auto t0 = std::chrono::steady_clock::now();
+    RunOutcome outcome = Run({app, gpu, SimLevel::kSwiftSimMemory, run});
+    const std::chrono::duration<double> run_s =
+        std::chrono::steady_clock::now() - t0;
+    Record r = RecordOf(outcome);
     r.level = arm;
+    r.Count("run_s", run_s.count());
     b.Append(r);
     return r;
   };
 
   bool ok = true;
-  std::printf("%-14s %14s %10s %10s %10s %8s %8s\n", "app", "cycles",
-              "fresh[s]", "cold[s]", "warm[s]", "cold-x", "warm-x");
+  std::printf("%-14s %14s %10s %10s %10s %12s %8s %8s\n", "app", "cycles",
+              "fresh[s]", "cold[s]", "warm[s]", "warm-run[s]", "cold-x",
+              "warm-x");
   for (const Application& base : b.Apps()) {
     const Application app = RepeatLaunches(base, kIterations);
     const Record fresh = run_arm(app, fresh_run, "memory+fresh");
@@ -69,10 +78,11 @@ int RunMemo(Bench& b) {
 
     const double cold_x = Speedup(fresh.wall_s, cold.wall_s);
     const double warm_x = Speedup(fresh.wall_s, warm.wall_s);
-    std::printf("%-14s %14llu %10.4f %10.4f %10.4f %7.1fx %7.1fx\n",
+    std::printf("%-14s %14llu %10.4f %10.4f %10.4f %12.6f %7.1fx %7.1fx\n",
                 app.name.c_str(),
                 static_cast<unsigned long long>(fresh.cycles),
-                fresh.wall_s, cold.wall_s, warm.wall_s, cold_x, warm_x);
+                fresh.wall_s, cold.wall_s, warm.wall_s, warm.Counter("run_s"),
+                cold_x, warm_x);
     if (cold.cycles != fresh.cycles || warm.cycles != fresh.cycles) {
       std::printf("ERROR: %s memoized cycles diverge (fresh=%llu cold=%llu "
                   "warm=%llu)\n",

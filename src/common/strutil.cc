@@ -51,10 +51,12 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 }
 
 namespace {
+// Parse failures are the input's fault: the message names the text and
+// what it was for, not a source location.
 template <typename T>
 T ParseIntegral(std::string_view s, std::string_view context) {
   std::string_view t = Trim(s);
-  SS_CHECK(!t.empty(), std::string("empty integer for ") + std::string(context));
+  if (t.empty()) throw SimError("empty integer for " + std::string(context));
   int base = 10;
   bool negative = false;
   if (!t.empty() && (t[0] == '+' || t[0] == '-')) {
@@ -68,17 +70,15 @@ T ParseIntegral(std::string_view s, std::string_view context) {
   T value{};
   auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), value, base);
   if (ec != std::errc() || ptr != t.data() + t.size()) {
-    detail::ThrowSimError(__FILE__, __LINE__,
-                          "malformed integer '" + std::string(s) + "' for " +
-                              std::string(context));
+    throw SimError("malformed integer '" + std::string(s) + "' for " +
+                   std::string(context));
   }
   if (negative) {
     if constexpr (std::is_signed_v<T>) {
       return static_cast<T>(-value);
     } else {
-      detail::ThrowSimError(__FILE__, __LINE__,
-                            "negative value '" + std::string(s) +
-                                "' for unsigned " + std::string(context));
+      throw SimError("negative value '" + std::string(s) +
+                     "' for unsigned " + std::string(context));
     }
   }
   return value;
@@ -95,13 +95,12 @@ std::uint64_t ParseUint(std::string_view s, std::string_view context) {
 
 double ParseDouble(std::string_view s, std::string_view context) {
   std::string t(Trim(s));
-  SS_CHECK(!t.empty(), std::string("empty double for ") + std::string(context));
+  if (t.empty()) throw SimError("empty double for " + std::string(context));
   char* end = nullptr;
   const double v = std::strtod(t.c_str(), &end);
   if (end != t.c_str() + t.size()) {
-    detail::ThrowSimError(__FILE__, __LINE__,
-                          "malformed double '" + t + "' for " +
-                              std::string(context));
+    throw SimError("malformed double '" + t + "' for " +
+                   std::string(context));
   }
   return v;
 }
@@ -110,9 +109,8 @@ bool ParseBool(std::string_view s, std::string_view context) {
   const std::string t = ToLower(Trim(s));
   if (t == "1" || t == "true") return true;
   if (t == "0" || t == "false") return false;
-  detail::ThrowSimError(__FILE__, __LINE__,
-                        "malformed boolean '" + std::string(s) + "' for " +
-                            std::string(context));
+  throw SimError("malformed boolean '" + std::string(s) + "' for " +
+                 std::string(context));
 }
 
 std::string ToLower(std::string_view s) {

@@ -8,9 +8,9 @@ namespace swiftsim {
 
 void MetricsGatherer::Register(const std::string& module,
                                const std::string& counter, Source source) {
-  const std::string key = module + "." + counter;
-  SS_CHECK(sources_.count(key) == 0, "duplicate metric '" + key + "'");
-  sources_[key] = std::move(source);
+  const auto [it, inserted] =
+      sources_.try_emplace(module + "." + counter, std::move(source));
+  SS_CHECK(inserted, "duplicate metric '" + it->first + "'");
 }
 
 void MetricsGatherer::Register(const std::string& module,
@@ -21,7 +21,10 @@ void MetricsGatherer::Register(const std::string& module,
 
 std::map<std::string, std::uint64_t> MetricsGatherer::Snapshot() const {
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [key, source] : sources_) out[key] = source();
+  // sources_ is in key order, so every insert lands at the end.
+  for (const auto& [key, source] : sources_) {
+    out.emplace_hint(out.end(), key, source());
+  }
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "swiftsim/memo_cache.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -13,13 +14,23 @@
 
 namespace swiftsim {
 
-std::uint64_t MemoCache::ApproxBytes(const MemoKey& /*key*/,
-                                     const Entry& entry) {
-  std::uint64_t bytes = sizeof(MemoKey) + sizeof(Entry);
-  for (const auto& [name, value] : entry.rec.metric_deltas) {
+namespace {
+
+template <typename Metrics>
+std::uint64_t MetricBytes(const Metrics& metrics) {
+  std::uint64_t bytes = 0;
+  for (const auto& [name, value] : metrics) {
     bytes += name.size() + sizeof(value) + sizeof(std::string);
   }
   return bytes;
+}
+
+}  // namespace
+
+std::uint64_t MemoCache::ApproxBytes(const MemoKey& /*key*/,
+                                     const Entry& entry) {
+  return sizeof(MemoKey) + sizeof(Entry) +
+         MetricBytes(entry.rec.metric_deltas);
 }
 
 void MemoCache::EnforceLimitsLocked() {
@@ -39,19 +50,41 @@ void MemoCache::EnforceLimitsLocked() {
         victim = it;
       }
     }
+    const SkeletonKey config{victim->first.cfg_hash, victim->first.level};
     total_bytes_ -= victim->second.approx_bytes;
     entries_.erase(victim);
     ++evictions_;
+    // A skeleton only serves replays of its config's entries.
+    const bool last = std::none_of(
+        entries_.begin(), entries_.end(), [&](const auto& e) {
+          return e.first.cfg_hash == config.first &&
+                 e.first.level == config.second;
+        });
+    if (const auto sk = skeletons_.find(config);
+        last && sk != skeletons_.end()) {
+      total_bytes_ -= sk->second.approx_bytes;
+      skeletons_.erase(sk);
+    }
+  }
+  // Skeletons left without entries (their first launch never recorded).
+  if (over()) {
+    for (const auto& [config, slot] : skeletons_) {
+      total_bytes_ -= slot.approx_bytes;
+    }
+    skeletons_.clear();
   }
 }
 
-std::optional<LaunchRecord> MemoCache::TryReplay(const MemoKey& key) {
+std::optional<ReplayedLaunch> MemoCache::TryReplay(const MemoKey& key,
+                                                   MetricMap* deltas) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   ++it->second.replays;
   it->second.last_use = ++use_clock_;
-  return it->second.rec;
+  const LaunchRecord& rec = it->second.rec;
+  if (deltas != nullptr) AddMetrics(rec.metric_deltas, deltas);
+  return ReplayedLaunch{rec.cycles, rec.instructions};
 }
 
 void MemoCache::RecordLaunch(const MemoKey& key, LaunchRecord rec) {
@@ -64,6 +97,25 @@ void MemoCache::RecordLaunch(const MemoKey& key, LaunchRecord rec) {
     e.approx_bytes = ApproxBytes(key, e);
     total_bytes_ += e.approx_bytes;
   }
+  EnforceLimitsLocked();
+}
+
+std::shared_ptr<const MetricMap> MemoCache::Skeleton(
+    const MemoKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = skeletons_.find({key.cfg_hash, key.level});
+  return it != skeletons_.end() ? it->second.metrics : nullptr;
+}
+
+void MemoCache::StoreSkeleton(const MemoKey& key, MetricMap metrics) {
+  SkeletonSlot slot;
+  slot.approx_bytes = sizeof(SkeletonSlot) + MetricBytes(metrics);
+  slot.metrics = std::make_shared<const MetricMap>(std::move(metrics));
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto [it, inserted] =
+      skeletons_.try_emplace({key.cfg_hash, key.level}, std::move(slot));
+  if (!inserted) return;
+  total_bytes_ += it->second.approx_bytes;
   EnforceLimitsLocked();
 }
 
@@ -92,6 +144,7 @@ std::uint64_t MemoCache::evictions() const {
 void MemoCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
+  skeletons_.clear();
   total_bytes_ = 0;
 }
 

@@ -20,6 +20,10 @@
 //                  repeated Simulator constructions and across config
 //                  points that differ only in timing parameters.
 //
+// MemoCache also keeps, per (canonical config hash, SimLevel), the metric
+// map of a freshly built model: a run whose every launch replays reports
+// that skeleton plus the replayed deltas and builds no GpuModel at all.
+//
 // Both caches are process-global and mutex-protected; RunOptions::memo =
 // false (--no-memo) bypasses every layer. Their caps are process-wide
 // too: the process that owns them sets them once (swiftsimd's
@@ -27,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,18 +71,59 @@ struct MemoKey {
 struct LaunchRecord {
   Cycle cycles = 0;
   std::uint64_t instructions = 0;
+  /// In name order, as the run pipeline records them.
   std::vector<std::pair<std::string, std::uint64_t>> metric_deltas;
 };
 
+/// A replayed launch's totals; its metric deltas go to TryReplay's map.
+struct ReplayedLaunch {
+  Cycle cycles = 0;
+  std::uint64_t instructions = 0;
+};
+
+using MetricMap = std::map<std::string, std::uint64_t>;
+
+/// Adds every (name, value) of `deltas` into `*into`, inserting missing
+/// names. One merge pass when `deltas` is in name order; correct in any
+/// order.
+template <typename Deltas>
+void AddMetrics(const Deltas& deltas, MetricMap* into) {
+  auto hint = into->begin();
+  for (const auto& [name, value] : deltas) {
+    // Everything before `hint` must sort below `name`; restart otherwise.
+    if (hint != into->begin() && !(std::prev(hint)->first < name)) {
+      hint = into->begin();
+    }
+    while (hint != into->end() && hint->first < name) ++hint;
+    if (hint != into->end() && hint->first == name) {
+      hint->second += value;
+    } else {
+      hint = into->emplace_hint(hint, name, value);
+    }
+    ++hint;
+  }
+}
+
 class MemoCache {
  public:
-  /// Returns the recorded launch, if any. Bumps the entry's replay count
-  /// and recency (eviction inputs).
-  std::optional<LaunchRecord> TryReplay(const MemoKey& key);
+  /// On a hit, adds the recorded launch's metric deltas into `*deltas`
+  /// (when given) and returns its totals, without copying the record.
+  /// Bumps the entry's replay count and recency (eviction inputs).
+  std::optional<ReplayedLaunch> TryReplay(const MemoKey& key,
+                                          MetricMap* deltas = nullptr);
 
   /// Records one simulated launch; it is replayable immediately. An entry
   /// already recorded (e.g. by a racing driver) keeps its record.
   void RecordLaunch(const MemoKey& key, LaunchRecord rec);
+
+  /// The metrics of a freshly built model for the key's config hash and
+  /// level (the kernel fingerprint and context are ignored), or null.
+  std::shared_ptr<const MetricMap> Skeleton(const MemoKey& key) const;
+
+  /// Keeps `metrics`, a fresh model's snapshot, as the key's skeleton. A
+  /// stored skeleton wins. Skeletons count against the byte cap, go with
+  /// the last entry of their config, and are never written to the file.
+  void StoreSkeleton(const MemoKey& key, MetricMap metrics);
 
   /// Caps the cache (0 = unbounded).
   /// When either cap is exceeded after an insert, entries are evicted
@@ -86,14 +132,15 @@ class MemoCache {
   /// entry is the first to go. Applies immediately to current contents.
   void SetLimits(std::uint64_t max_entries, std::uint64_t max_bytes);
 
-  std::size_t size() const;
-  std::uint64_t bytes() const;
+  std::size_t size() const;  // launch entries; skeletons not counted
+  std::uint64_t bytes() const;  // entries and skeletons
   std::uint64_t evictions() const;
   void Clear();
 
   /// Versioned plain-text persistence for cross-run reuse (DSE sweeps
-  /// spanning processes). Save writes every entry; Load merges them in (existing entries win). Load throws SimError on unreadable
-  /// files or format mismatches.
+  /// spanning processes). Save writes every entry, no skeleton; Load
+  /// merges them in (existing entries win). Load throws SimError on
+  /// unreadable files or format mismatches.
   void SaveToFile(const std::string& path) const;
   void LoadFromFile(const std::string& path);
 
@@ -109,12 +156,20 @@ class MemoCache {
     std::uint64_t approx_bytes = 0;
   };
 
+  // (cfg_hash, level): what a fresh model's metric map depends on.
+  using SkeletonKey = std::pair<std::uint64_t, std::uint8_t>;
+  struct SkeletonSlot {
+    std::shared_ptr<const MetricMap> metrics;
+    std::uint64_t approx_bytes = 0;
+  };
+
   static std::uint64_t ApproxBytes(const MemoKey& key, const Entry& entry);
   /// Evicts until both caps hold. Caller holds mu_.
   void EnforceLimitsLocked();
 
   mutable std::mutex mu_;
   std::map<MemoKey, Entry> entries_;
+  std::map<SkeletonKey, SkeletonSlot> skeletons_;
   std::uint64_t max_entries_ = 0;  // 0 = unbounded
   std::uint64_t max_bytes_ = 0;    // 0 = unbounded
   std::uint64_t total_bytes_ = 0;

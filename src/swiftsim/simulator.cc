@@ -1,7 +1,6 @@
 #include "swiftsim/simulator.h"
 
 #include <chrono>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -29,7 +28,7 @@ SimResult RunOutcome::TakeOrThrow() {
 
 namespace {
 
-/// Replay telemetry, registered under "memo.*" in the model's gatherer.
+/// Replay telemetry, reported under "memo.*".
 struct MemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -41,7 +40,10 @@ struct MemoStats {
 /// simulated; a simulated kernel that throws is retried on a fresh model
 /// (degrade.max_retries) and then, with degrade.on_hang, finished at the
 /// analytical-memory level (DESIGN.md §11). Metrics fold across every
-/// model the run used. `profile` as in GpuModel's constructor.
+/// model the run used. With memo the model is built at the first launch
+/// that misses, so a run whose every launch replays builds none and
+/// reports the cached fresh-model skeleton plus the replayed deltas
+/// (DESIGN.md §10). `profile` as in GpuModel's constructor.
 SimResult RunKernels(const Application& app, const GpuConfig& cfg,
                      SimLevel level, const MemProfile* profile,
                      const RunOptions& opt) {
@@ -66,61 +68,63 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
   };
   // The first fold takes the snapshot as is, so a single-model run pays
   // for exactly one Snapshot.
-  std::map<std::string, std::uint64_t> metrics;
+  MetricMap metrics;
   const auto fold_metrics = [&](const GpuModel& m) {
     if (metrics.empty()) {
       metrics = m.metrics().Snapshot();
       return;
     }
-    for (const auto& [key, value] : m.metrics().Snapshot()) {
-      metrics[key] += value;
-    }
+    AddMetrics(m.metrics().Snapshot(), &metrics);
   };
 
   SimResult result;
   result.app = app.name;
   result.simulator = ToString(level);
   result.kernels.reserve(app.kernels.size());
-  auto model = make_model();
+  std::unique_ptr<GpuModel> model;
+  if (memo == nullptr) model = make_model();
 
   MemoStats stats;
   MemoKey key;
   std::uint64_t evictions_before = 0;
-  std::map<std::string, std::uint64_t> replayed_deltas;
+  MetricMap replayed_deltas;
   if (memo != nullptr) {
     evictions_before = memo->evictions();
-    model->metrics().Register("memo", "hits", &stats.hits);
-    model->metrics().Register("memo", "misses", &stats.misses);
-    model->metrics().Register("memo", "replayed_cycles",
-                              &stats.replayed_cycles);
-    model->metrics().Register("memo", "replayed_instrs",
-                              &stats.replayed_instrs);
     key.cfg_hash = cfg.CanonicalHash();
     key.context = FingerprintApplication(app).Fold();
     key.level = static_cast<std::uint8_t>(level);
   }
 
   const auto t0 = std::chrono::steady_clock::now();
+  // Model construction inside the loop, left out of wall_seconds like the
+  // up-front build.
+  std::chrono::steady_clock::duration build_time{};
   Cycle clock = 0;  // model clock at the last completed-kernel boundary
   for (const auto& kernel : app.kernels) {
     const std::string& name = kernel->info().name;
-    std::map<std::string, std::uint64_t> before;
+    MetricMap before;
     if (memo != nullptr) {
       key.kernel_fp = FingerprintKernel(*kernel);
-      if (auto rec = memo->TryReplay(key)) {
+      if (auto rec = memo->TryReplay(key, &replayed_deltas)) {
         clock += rec->cycles;
-        model->SyncClock(clock);
         result.kernels.push_back({name, rec->cycles, rec->instructions});
-        for (const auto& [metric, value] : rec->metric_deltas) {
-          replayed_deltas[metric] += value;
-        }
         ++stats.hits;
         stats.replayed_cycles += rec->cycles;
         stats.replayed_instrs += rec->instructions;
         continue;
       }
       ++stats.misses;
+      const bool fresh = model == nullptr;
+      if (fresh) {
+        const auto b0 = std::chrono::steady_clock::now();
+        model = make_model();
+        build_time += std::chrono::steady_clock::now() - b0;
+      }
+      model->SyncClock(clock);
       before = model->metrics().Snapshot();
+      if (fresh && memo->Skeleton(key) == nullptr) {
+        memo->StoreSkeleton(key, before);
+      }
     }
     for (unsigned attempts = 0;; ++attempts) {
       const std::uint64_t instrs_before = model->TotalIssuedInstrs();
@@ -171,7 +175,6 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
       rec.cycles = kr.cycles;
       rec.instructions = kr.instructions;
       for (const auto& [metric, value] : model->metrics().Snapshot()) {
-        if (metric.rfind("memo.", 0) == 0) continue;  // driver, not launch
         const auto it = before.find(metric);
         const std::uint64_t delta =
             value - (it != before.end() ? it->second : 0);
@@ -186,12 +189,24 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
   for (const KernelResult& kr : result.kernels) {
     result.instructions += kr.instructions;
   }
-  result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  fold_metrics(*model);
+  result.wall_seconds =
+      std::chrono::duration<double>(t1 - t0 - build_time).count();
+  if (model != nullptr) {
+    fold_metrics(*model);
+  } else if (auto skeleton = memo->Skeleton(key)) {
+    metrics = *skeleton;
+  } else {
+    // Every launch replayed, but no model for this config has been built
+    // in this process yet (e.g. the entries came from a memo file).
+    metrics = make_model()->metrics().Snapshot();
+    memo->StoreSkeleton(key, metrics);
+  }
   if (memo != nullptr) {
-    for (const auto& [metric, value] : replayed_deltas) {
-      metrics[metric] += value;
-    }
+    AddMetrics(replayed_deltas, &metrics);
+    metrics["memo.hits"] = stats.hits;
+    metrics["memo.misses"] = stats.misses;
+    metrics["memo.replayed_cycles"] = stats.replayed_cycles;
+    metrics["memo.replayed_instrs"] = stats.replayed_instrs;
     // Eviction telemetry as a per-run delta: the cache is process-global,
     // so absolute counts would leak earlier runs into this result.
     metrics["memo.evictions"] = memo->evictions() - evictions_before;

@@ -12,8 +12,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <latch>
 #include <map>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,6 +89,36 @@ void ExpectIdentical(const SimResult& fresh, const SimResult& memo,
 std::uint64_t Metric(const SimResult& r, const std::string& name) {
   const auto it = r.metrics.find(name);
   return it != r.metrics.end() ? it->second : 0;
+}
+
+/// The raw metrics without the "memo.*" driver telemetry: two memo runs
+/// that replay the same records agree on this per SM, not only summed.
+std::map<std::string, std::uint64_t> LaunchMetrics(const SimResult& r) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [key, value] : r.metrics) {
+    if (key.rfind("memo.", 0) != 0) out.emplace(key, value);
+  }
+  return out;
+}
+
+MemoKey SkeletonKey(const GpuConfig& cfg, SimLevel level) {
+  MemoKey key;
+  key.cfg_hash = cfg.CanonicalHash();
+  key.level = static_cast<std::uint8_t>(level);
+  return key;
+}
+
+// Bytes requested through operator new on this thread while counting.
+thread_local bool g_count_allocs = false;
+thread_local std::size_t g_alloc_bytes = 0;
+
+template <typename Fn>
+std::size_t AllocatedBytes(Fn&& fn) {
+  g_alloc_bytes = 0;
+  g_count_allocs = true;
+  fn();
+  g_count_allocs = false;
+  return g_alloc_bytes;
 }
 
 TEST(Fingerprint, StableAcrossRebuilds) {
@@ -273,6 +305,54 @@ TEST(MemoMemoryLevel, BitIdenticalReplay) {
   }
 }
 
+TEST(MemoMemoryLevel, PartialReplayMatchesFreshRun) {
+  // A's launches replay and B's miss, so the run builds its model at B's
+  // first launch, resumed at the clock the replays reached.
+  const GpuConfig cfg = SmallGpu();
+  const Application a = SmallApp("HOTSPOT");
+  const Application b = SmallApp("NW");
+  Application app;
+  app.name = "HOTSPOTx4+NW";
+  for (int i = 0; i < 4; ++i) {
+    app.kernels.insert(app.kernels.end(), a.kernels.begin(), a.kernels.end());
+  }
+  app.kernels.insert(app.kernels.end(), b.kernels.begin(), b.kernels.end());
+  RunOptions no_memo;
+  no_memo.memo = false;
+  const SimResult fresh =
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory, no_memo);
+
+  ClearGlobalCaches();
+  (void)RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+  // Keep A's records only: they replayed three times, B's never did.
+  MemoCache::Global().SetLimits(a.kernels.size(), 0);
+  MemoCache::Global().SetLimits(0, 0);
+  const SimResult partial =
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+  EXPECT_EQ(Metric(partial, "memo.hits"), 4 * a.kernels.size());
+  EXPECT_EQ(Metric(partial, "memo.misses"), b.kernels.size());
+  ExpectIdentical(fresh, partial, "HOTSPOTx4 replayed, then NW");
+  ClearGlobalCaches();
+}
+
+TEST(MemoMemoryLevel, FullReplayBuildsNoModel) {
+  const GpuConfig cfg = Rtx2080TiConfig();
+  const Application app = RepeatLaunches(SmallApp("BFS"), 4);
+  ClearGlobalCaches();
+  (void)RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+  const std::size_t replay_bytes = AllocatedBytes([&] {
+    const SimResult r = RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+    EXPECT_EQ(Metric(r, "memo.misses"), 0u);
+  });
+  const MemProfile profile = BuildMemProfile(app, cfg);
+  const std::size_t model_bytes = AllocatedBytes([&] {
+    GpuModel model(cfg, SelectionFor(SimLevel::kSwiftSimMemory), &profile);
+  });
+  // The whole replayed run allocates less than one model's construction.
+  EXPECT_LT(replay_bytes, model_bytes);
+  ClearGlobalCaches();
+}
+
 TEST(MemoMemoryLevel, ReplayAppliesToRepeatedLaunchesOnly) {
   const GpuConfig cfg = SmallGpu();
   const Application app = SmallApp("GEMM");  // no repeated kernels
@@ -324,6 +404,36 @@ TEST(MemoCacheFile, SaveLoadRoundTrip) {
   EXPECT_EQ(Metric(warm, "memo.misses"), 0u);
   ExpectIdentical(cold, warm, "after reload");
   std::remove(path.c_str());
+}
+
+TEST(MemoCacheFile, WarmRunFromReloadedFileMatchesColdRun) {
+  const GpuConfig cfg = SmallGpu();
+  const Application app = RepeatLaunches(SmallApp("BFS"), 4);
+  const MemoKey skeleton_key = SkeletonKey(cfg, SimLevel::kSwiftSimMemory);
+  ClearGlobalCaches();
+  const SimResult cold =
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+  const std::string path = testing::TempDir() + "memo_cache_warm.txt";
+  MemoCache::Global().SaveToFile(path);
+  MemoCache::Global().Clear();
+  MemoCache::Global().LoadFromFile(path);
+  std::remove(path.c_str());
+  // The file holds no skeleton: the first warm run builds one fresh model
+  // for it, the second reuses the stored one.
+  ASSERT_EQ(MemoCache::Global().Skeleton(skeleton_key), nullptr);
+  const SimResult warm =
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+  const auto skeleton = MemoCache::Global().Skeleton(skeleton_key);
+  ASSERT_NE(skeleton, nullptr);
+  const SimResult again =
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+  EXPECT_EQ(MemoCache::Global().Skeleton(skeleton_key), skeleton);
+
+  EXPECT_EQ(Metric(warm, "memo.misses"), 0u);
+  ExpectIdentical(cold, warm, "reloaded");
+  EXPECT_EQ(LaunchMetrics(cold), LaunchMetrics(warm));
+  EXPECT_EQ(warm.metrics, again.metrics);
+  ClearGlobalCaches();
 }
 
 TEST(MemoCacheFile, RejectsUnknownFormat) {
@@ -459,6 +569,88 @@ TEST(MemoEviction, CappedRunStaysExact) {
   ClearGlobalCaches();
 }
 
+TEST(MemoConcurrency, FullReplaysMatchSerialResults) {
+  GpuConfig wide = Rtx2080TiConfig();
+  wide.num_sms = 68;
+  GpuConfig narrow = wide;
+  narrow.num_sms = 35;
+  const GpuConfig* configs[] = {&wide, &narrow};
+  const Application app = RepeatLaunches(SmallApp("BFS"), 4);
+  ClearGlobalCaches();
+  SimResult serial[2];
+  for (int c = 0; c < 2; ++c) {
+    (void)RunSimulation(app, *configs[c], SimLevel::kSwiftSimMemory);
+    serial[c] = RunSimulation(app, *configs[c], SimLevel::kSwiftSimMemory);
+    EXPECT_EQ(Metric(serial[c], "memo.misses"), 0u);
+  }
+  // Reload the records without their skeletons, so the threads also race
+  // to build and store them.
+  const std::string path = testing::TempDir() + "memo_cache_threads.txt";
+  MemoCache::Global().SaveToFile(path);
+  MemoCache::Global().Clear();
+  MemoCache::Global().LoadFromFile(path);
+  std::remove(path.c_str());
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<SimResult> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = RunSimulation(app, *configs[t % 2], SimLevel::kSwiftSimMemory);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    const SimResult& want = serial[t % 2];
+    const std::string what = "thread " + std::to_string(t);
+    EXPECT_EQ(got[t].total_cycles, want.total_cycles) << what;
+    EXPECT_EQ(got[t].instructions, want.instructions) << what;
+    ASSERT_EQ(got[t].kernels.size(), want.kernels.size()) << what;
+    for (std::size_t k = 0; k < want.kernels.size(); ++k) {
+      EXPECT_EQ(got[t].kernels[k].cycles, want.kernels[k].cycles) << what;
+    }
+    EXPECT_EQ(got[t].metrics, want.metrics) << what;
+  }
+  ClearGlobalCaches();
+}
+
+TEST(MemoSkeleton, CountedInBytesAndDroppedByClear) {
+  MemoCache cache;
+  cache.StoreSkeleton(EvictKey(0),
+                      {{"l2.0.hits", 0}, {"sm0.issued_instrs", 0}});
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_GT(cache.bytes(), 0u);
+  // Keyed by config hash and level only.
+  const auto skeleton = cache.Skeleton(EvictKey(0));
+  ASSERT_NE(skeleton, nullptr);
+  EXPECT_EQ(cache.Skeleton(EvictKey(1)), skeleton);
+  EXPECT_EQ(skeleton->size(), 2u);
+  cache.Clear();
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.Skeleton(EvictKey(0)), nullptr);
+}
+
+TEST(MemoSkeleton, EvictedWithItsConfigsLastEntry) {
+  MemoCache cache;
+  MemoKey other = EvictKey(1);
+  other.cfg_hash = 0x5678;
+  cache.RecordLaunch(EvictKey(0), EvictRecord());
+  cache.RecordLaunch(other, EvictRecord());
+  cache.StoreSkeleton(EvictKey(0), {{"sm0.issued_instrs", 0}});
+  cache.StoreSkeleton(other, {{"sm0.issued_instrs", 0}});
+  EXPECT_TRUE(cache.TryReplay(EvictKey(0)).has_value());
+  cache.SetLimits(/*max_entries=*/1, /*max_bytes=*/0);
+  EXPECT_NE(cache.Skeleton(EvictKey(0)), nullptr);
+  EXPECT_EQ(cache.Skeleton(other), nullptr);
+  // A byte cap nothing fits under empties the cache, skeletons included.
+  cache.SetLimits(/*max_entries=*/0, /*max_bytes=*/1);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.Skeleton(EvictKey(0)), nullptr);
+}
+
 TEST(ProfileCacheEviction, LruCapHolds) {
   const Application bfs = SmallApp("BFS");
   const Application pr = SmallApp("PAGERANK");
@@ -479,3 +671,16 @@ TEST(ProfileCacheEviction, LruCapHolds) {
 
 }  // namespace
 }  // namespace swiftsim
+
+// Counts what the tests above ask AllocatedBytes to measure; allocation
+// itself is plain malloc/free, so gcc's new/free pairing warning is moot.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t n) {
+  if (swiftsim::g_count_allocs) swiftsim::g_alloc_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
