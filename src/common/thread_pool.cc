@@ -1,166 +1,107 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-
-#include "common/status.h"
+#include <atomic>
+#include <exception>
+#include <latch>
+#include <memory>
 
 namespace swiftsim {
 
-ThreadPool::ThreadPool(unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
+namespace {
+
+constexpr unsigned kMaxWorkers = 256;  // far above any real machine
+
+/// One ParallelFor call, shared by its caller and helpers. A helper that
+/// starts after the call returned finds every item claimed and returns
+/// without touching `fn`.
+struct Batch {
+  Batch(std::size_t n, const std::function<void(std::size_t)>& fn)
+      : n(n), fn(fn), left(static_cast<std::ptrdiff_t>(n)) {}
+  const std::size_t n;
+  const std::function<void(std::size_t)>& fn;
+  std::atomic<std::size_t> next{0};
+  std::latch left;  // items not yet completed
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // the first one thrown; set once, by `failed`
+};
+
+/// Claims and runs items until none is left to claim.
+void RunItems(Batch& b) {
+  for (;;) {
+    const std::size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= b.n) return;
+    try {
+      b.fn(i);
+    } catch (...) {
+      if (!b.failed.exchange(true)) b.error = std::current_exception();
+    }
+    b.left.count_down();
   }
-  queues_.reserve(kMaxWorkers);
-  threads_.reserve(kMaxWorkers);
-  std::lock_guard<std::mutex> lk(grow_mu_);
-  SpawnLocked(std::min(num_threads, kMaxWorkers));
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(unsigned num_threads) {
+  EnsureWorkers(num_threads != 0
+                    ? num_threads
+                    : std::max(1u, std::thread::hardware_concurrency()));
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lk(sleep_mu_);
-    shutdown_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lk(mu_);
+    shutdown_ = true;
   }
-  sleep_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::SpawnLocked(unsigned count) {
-  SS_CHECK(num_workers_.load() + count <= kMaxWorkers,
-           "ThreadPool cannot grow beyond " + std::to_string(kMaxWorkers) +
-               " workers");
-  for (unsigned i = 0; i < count; ++i) {
-    const unsigned id = num_workers_.load(std::memory_order_relaxed);
-    queues_.push_back(std::make_unique<WorkerQueue>());
-    // Publish the queue before the worker count so TryRunOne never indexes
-    // past the constructed range.
-    num_workers_.store(id + 1, std::memory_order_release);
-    threads_.emplace_back([this, id] { WorkerLoop(id); });
-  }
+unsigned ThreadPool::size() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return static_cast<unsigned>(threads_.size());
 }
 
 void ThreadPool::EnsureWorkers(unsigned n) {
-  std::lock_guard<std::mutex> lk(grow_mu_);
-  const unsigned have = num_workers_.load(std::memory_order_relaxed);
-  if (n > have) SpawnLocked(std::min(n, kMaxWorkers) - have);
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  const unsigned n = size();
-  const unsigned w = rr_.fetch_add(1, std::memory_order_relaxed) % n;
-  {
-    std::lock_guard<std::mutex> lk(queues_[w]->mu);
-    queues_[w]->q.push_back(std::move(fn));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(sleep_mu_);
-  }
-  sleep_cv_.notify_one();
-}
-
-bool ThreadPool::TryRunOne(unsigned home) {
-  const unsigned n = size();
-  for (unsigned k = 0; k < n; ++k) {
-    WorkerQueue& wq = *queues_[(home + k) % n];
-    std::function<void()> task;
-    {
-      std::lock_guard<std::mutex> lk(wq.mu);
-      if (wq.q.empty()) continue;
-      if (k == 0) {
-        // Own queue: FIFO.
-        task = std::move(wq.q.front());
-        wq.q.pop_front();
-      } else {
-        // Steal from the opposite end of a victim's queue.
-        task = std::move(wq.q.back());
-        wq.q.pop_back();
-      }
-    }
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    task();
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(unsigned me) {
-  for (;;) {
-    if (TryRunOne(me)) continue;
-    std::unique_lock<std::mutex> lk(sleep_mu_);
-    sleep_cv_.wait(lk, [this] {
-      return shutdown_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (shutdown_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
-  }
-}
-
-ThreadPool::TaskGroup::~TaskGroup() {
-  // Tasks reference the group; never destroy it while any are in flight.
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return outstanding_ == 0; });
-}
-
-void ThreadPool::TaskGroup::Capture() {
   std::lock_guard<std::mutex> lk(mu_);
-  if (!error_) error_ = std::current_exception();
-}
-
-void ThreadPool::TaskGroup::Run(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++outstanding_;
-  }
-  pool_.Submit([this, task = std::move(fn)] {
-    try {
-      task();
-    } catch (...) {
-      Capture();
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    if (--outstanding_ == 0) cv_.notify_all();
-  });
-}
-
-void ThreadPool::TaskGroup::RunInline(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (...) {
-    Capture();
+  while (threads_.size() < std::min(n, kMaxWorkers)) {
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
-void ThreadPool::TaskGroup::Wait() {
+void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return outstanding_ == 0; });
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    std::rethrow_exception(e);
+  for (;;) {
+    cv_.wait(lk, [this] { return shutdown_ || !tasks_.empty(); });
+    if (tasks_.empty()) return;  // shut down and drained
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    lk.unlock();
+    task();  // RunItems: never throws
+    lk.lock();
   }
 }
 
 void ThreadPool::ParallelFor(std::size_t n, unsigned max_workers,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  std::size_t workers = max_workers == 0 ? size() + 1 : max_workers;
-  workers = std::min<std::size_t>(workers, n);
-  std::atomic<std::size_t> next{0};
-  auto body = [&next, n, &fn] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      fn(i);
+  if (max_workers == 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  const auto batch = std::make_shared<Batch>(n, fn);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    const std::size_t workers = std::min<std::size_t>(
+        max_workers == 0 ? threads_.size() + 1 : max_workers, n);
+    for (std::size_t t = 1; t < workers; ++t) {
+      tasks_.emplace_back([batch] { RunItems(*batch); });
     }
-  };
-  TaskGroup group(*this);
-  for (std::size_t t = 1; t < workers; ++t) group.Run(body);
-  group.RunInline(body);
-  group.Wait();
+  }
+  cv_.notify_all();
+  RunItems(*batch);
+  batch->left.wait();
+  if (batch->error) std::rethrow_exception(batch->error);
 }
 
 ThreadPool& ThreadPool::Shared() {

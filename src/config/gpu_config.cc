@@ -83,69 +83,76 @@ GpuConfig::GpuConfig() {
 
 namespace {
 
+/// Validation errors name the offending field and nothing else: they reach
+/// users through config files and daemon requests, so unlike SS_CHECK they
+/// carry no source location.
+void Require(bool ok, const std::string& msg) {
+  if (!ok) throw SimError("invalid config: " + msg);
+}
+
 void ValidateCache(const CacheParams& c, const std::string& which) {
-  SS_CHECK(IsPow2(c.line_bytes), which + ": line size must be a power of two");
-  SS_CHECK(IsPow2(c.sector_bytes),
-           which + ": sector size must be a power of two");
-  SS_CHECK(c.sector_bytes <= c.line_bytes && c.line_bytes % c.sector_bytes == 0,
-           which + ": line must be a whole number of sectors");
-  SS_CHECK(c.assoc > 0, which + ": associativity must be positive");
-  SS_CHECK(c.size_bytes % (static_cast<std::uint64_t>(c.line_bytes) * c.assoc)
-               == 0,
-           which + ": size must be a multiple of line*assoc");
-  SS_CHECK(IsPow2(c.num_sets()), which + ": set count must be a power of two");
-  SS_CHECK(c.banks > 0 && IsPow2(c.banks),
-           which + ": bank count must be a positive power of two");
-  SS_CHECK(c.mshr_entries > 0, which + ": need at least one MSHR entry");
-  SS_CHECK(c.mshr_max_merge > 0, which + ": MSHR merge limit must be positive");
-  SS_CHECK(c.latency > 0, which + ": latency must be positive");
+  Require(IsPow2(c.line_bytes), which + ": line size must be a power of two");
+  Require(IsPow2(c.sector_bytes),
+          which + ": sector size must be a power of two");
+  Require(c.sector_bytes <= c.line_bytes && c.line_bytes % c.sector_bytes == 0,
+          which + ": line must be a whole number of sectors");
+  Require(c.assoc > 0, which + ": associativity must be positive");
+  Require(c.size_bytes % (static_cast<std::uint64_t>(c.line_bytes) * c.assoc)
+              == 0,
+          which + ": size must be a multiple of line*assoc");
+  Require(IsPow2(c.num_sets()), which + ": set count must be a power of two");
+  Require(c.banks > 0 && IsPow2(c.banks),
+          which + ": bank count must be a positive power of two");
+  Require(c.mshr_entries > 0, which + ": need at least one MSHR entry");
+  Require(c.mshr_max_merge > 0, which + ": MSHR merge limit must be positive");
+  Require(c.latency > 0, which + ": latency must be positive");
 }
 
 void ValidateExecUnit(const ExecUnitConfig& u, const std::string& which) {
-  SS_CHECK(u.lanes > 0, which + ": lanes must be positive");
-  SS_CHECK(u.latency > 0, which + ": latency must be positive");
+  Require(u.lanes > 0, which + ": lanes must be positive");
+  Require(u.latency > 0, which + ": latency must be positive");
 }
 
 }  // namespace
 
 void GpuConfig::Validate() const {
-  SS_CHECK(num_sms > 0, "num_sms must be positive");
-  SS_CHECK(sub_cores_per_sm > 0, "sub_cores_per_sm must be positive");
-  SS_CHECK(max_warps_per_sm > 0, "max_warps_per_sm must be positive");
-  SS_CHECK(max_warps_per_sm % sub_cores_per_sm == 0,
-           "max_warps_per_sm must divide evenly across sub-cores");
-  SS_CHECK(max_ctas_per_sm > 0, "max_ctas_per_sm must be positive");
-  SS_CHECK(max_threads_per_sm >= kWarpSize,
-           "max_threads_per_sm must hold at least one warp");
-  SS_CHECK(max_threads_per_sm / kWarpSize >= 1 &&
-               max_warps_per_sm <= max_threads_per_sm / kWarpSize,
-           "max_warps_per_sm exceeds thread capacity");
-  SS_CHECK(registers_per_sm > 0, "registers_per_sm must be positive");
-  SS_CHECK(schedulers_per_sub_core > 0,
-           "schedulers_per_sub_core must be positive");
+  Require(num_sms > 0, "num_sms must be positive");
+  Require(sub_cores_per_sm > 0, "sub_cores_per_sm must be positive");
+  Require(max_warps_per_sm > 0, "max_warps_per_sm must be positive");
+  Require(max_warps_per_sm % sub_cores_per_sm == 0,
+          "max_warps_per_sm must divide evenly across sub-cores");
+  Require(max_ctas_per_sm > 0, "max_ctas_per_sm must be positive");
+  Require(max_threads_per_sm >= kWarpSize,
+          "max_threads_per_sm must hold at least one warp");
+  Require(max_threads_per_sm / kWarpSize >= 1 &&
+              max_warps_per_sm <= max_threads_per_sm / kWarpSize,
+          "max_warps_per_sm exceeds thread capacity");
+  Require(registers_per_sm > 0, "registers_per_sm must be positive");
+  Require(schedulers_per_sub_core > 0,
+          "schedulers_per_sub_core must be positive");
   ValidateExecUnit(int_unit, "int_unit");
   ValidateExecUnit(sp_unit, "sp_unit");
   ValidateExecUnit(dp_unit, "dp_unit");
   ValidateExecUnit(sfu_unit, "sfu_unit");
   ValidateExecUnit(tensor_unit, "tensor_unit");
-  SS_CHECK(ldst_units_per_sub_core > 0,
-           "ldst_units_per_sub_core must be positive");
-  SS_CHECK(ldst_queue_depth > 0, "ldst_queue_depth must be positive");
+  Require(ldst_units_per_sub_core > 0,
+          "ldst_units_per_sub_core must be positive");
+  Require(ldst_queue_depth > 0, "ldst_queue_depth must be positive");
   ValidateCache(l1, "l1");
   ValidateCache(l2, "l2");
-  SS_CHECK(l1.line_bytes == l2.line_bytes,
-           "L1 and L2 line sizes must match (sector-request protocol)");
-  SS_CHECK(l1.sector_bytes == l2.sector_bytes,
-           "L1 and L2 sector sizes must match");
-  SS_CHECK(num_mem_partitions > 0, "num_mem_partitions must be positive");
-  SS_CHECK(noc.bytes_per_cycle > 0, "noc bandwidth must be positive");
-  SS_CHECK(noc.input_queue_depth > 0 && noc.output_queue_depth > 0,
-           "noc queue depths must be positive");
-  SS_CHECK(dram.bytes_per_cycle > 0, "dram bandwidth must be positive");
-  SS_CHECK(dram.latency >= dram.row_hit_latency,
-           "dram closed-row latency must be >= row-hit latency");
-  SS_CHECK(dram.queue_depth > 0, "dram queue depth must be positive");
-  SS_CHECK(shared_mem_banks > 0, "shared_mem_banks must be positive");
+  Require(l1.line_bytes == l2.line_bytes,
+          "L1 and L2 line sizes must match (sector-request protocol)");
+  Require(l1.sector_bytes == l2.sector_bytes,
+          "L1 and L2 sector sizes must match");
+  Require(num_mem_partitions > 0, "num_mem_partitions must be positive");
+  Require(noc.bytes_per_cycle > 0, "noc bandwidth must be positive");
+  Require(noc.input_queue_depth > 0 && noc.output_queue_depth > 0,
+          "noc queue depths must be positive");
+  Require(dram.bytes_per_cycle > 0, "dram bandwidth must be positive");
+  Require(dram.latency >= dram.row_hit_latency,
+          "dram closed-row latency must be >= row-hit latency");
+  Require(dram.queue_depth > 0, "dram queue depth must be positive");
+  Require(shared_mem_banks > 0, "shared_mem_banks must be positive");
 }
 
 namespace {

@@ -77,9 +77,6 @@ class GpuModel {
 
   Cycle now() const { return now_; }
   const MetricsGatherer& metrics() const { return gatherer_; }
-  /// Non-const overload: external drivers (e.g. the memoization driver)
-  /// register their own counters so snapshots include them.
-  MetricsGatherer& metrics() { return gatherer_; }
   const std::vector<std::unique_ptr<SmCore>>& sms() const { return sms_; }
 
   /// Aggregated convenience stats (summed over components).

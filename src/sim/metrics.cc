@@ -1,7 +1,6 @@
 #include "sim/metrics.h"
 
 #include "common/status.h"
-#include "common/strutil.h"
 #include "sim/sm.h"
 
 namespace swiftsim {
@@ -26,26 +25,6 @@ std::map<std::string, std::uint64_t> MetricsGatherer::Snapshot() const {
     out.emplace_hint(out.end(), key, source());
   }
   return out;
-}
-
-std::uint64_t MetricsGatherer::Read(const std::string& full_name) const {
-  auto it = sources_.find(full_name);
-  SS_CHECK(it != sources_.end(), "unknown metric '" + full_name + "'");
-  return it->second();
-}
-
-std::uint64_t MetricsGatherer::SumAcross(const std::string& module_prefix,
-                                         const std::string& counter) const {
-  std::uint64_t sum = 0;
-  const std::string suffix = "." + counter;
-  for (const auto& [key, source] : sources_) {
-    if (!StartsWith(key, module_prefix)) continue;
-    if (key.size() >= suffix.size() &&
-        key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0) {
-      sum += source();
-    }
-  }
-  return sum;
 }
 
 void RegisterSmMetrics(MetricsGatherer& gatherer, const SmCore& sm) {

@@ -26,13 +26,6 @@ class MetricsGatherer {
   /// Reads every registered counter.
   std::map<std::string, std::uint64_t> Snapshot() const;
 
-  /// Single counter by full name; throws SimError if unknown.
-  std::uint64_t Read(const std::string& full_name) const;
-
-  /// Sums "<anything>.counter" across modules matching `module_prefix`.
-  std::uint64_t SumAcross(const std::string& module_prefix,
-                          const std::string& counter) const;
-
   std::size_t size() const { return sources_.size(); }
 
  private:

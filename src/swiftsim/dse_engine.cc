@@ -55,6 +55,16 @@ std::vector<bool> ParetoFrontier(const std::vector<Objective>& candidates) {
 
 namespace {
 
+// Relative model-error band of each rung's cycles estimate: a point retires
+// on bounds when another survivor's upper bound is below its lower bound
+// at no larger area.
+constexpr double kScreenDelta = 0.15;
+constexpr double kRefineDelta = 0.05;
+// Screening runs the analytical memory model, the level the screen dedup
+// is exact for; the middle rung runs Swift-Sim-Basic.
+constexpr SimLevel kScreenLevel = SimLevel::kSwiftSimMemory;
+constexpr SimLevel kRefineLevel = SimLevel::kSwiftSimBasic;
+
 struct RungStats {
   Cycle cycles = 0;
   double wall = 0;
@@ -256,10 +266,12 @@ std::string SweepIdentity(const std::vector<Application>& apps,
   mix_double(opt.keep_fraction);
   h.Mix(opt.min_keep);
   h.Mix(opt.max_promote);
-  mix_double(opt.screen_delta);
-  mix_double(opt.refine_delta);
-  h.Mix(static_cast<std::uint64_t>(opt.screen_level));
-  h.Mix(static_cast<std::uint64_t>(opt.refine_level));
+  // Constant, but still mixed so journals written while the rung bands
+  // and levels were options keep their identity and resume.
+  mix_double(kScreenDelta);
+  mix_double(kRefineDelta);
+  h.Mix(static_cast<std::uint64_t>(kScreenLevel));
+  h.Mix(static_cast<std::uint64_t>(kRefineLevel));
   h.Mix(static_cast<std::uint64_t>(opt.final_level));
   // A degraded kernel's cycles come from the analytical fallback.
   h.Mix(opt.run.degrade.on_hang ? 1 : 0);
@@ -383,8 +395,6 @@ SweepReport RunSweep(const std::vector<Application>& apps,
   SS_CHECK(!apps.empty(), "DSE sweep needs at least one application");
   SS_CHECK(opt.keep_fraction > 0 && opt.keep_fraction <= 1,
            "keep_fraction must be in (0, 1]");
-  SS_CHECK(opt.screen_delta >= 0 && opt.refine_delta >= 0,
-           "confidence deltas must be non-negative");
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t pc_hits0 = ProfileCache::Global().hits();
@@ -462,7 +472,7 @@ SweepReport RunSweep(const std::vector<Application>& apps,
   // differ only in cycle-accurate-only knobs) share one simulation; the
   // canonical representative — min (cfg_hash, index) — runs, the rest
   // copy its result, so dedup cannot change any downstream decision.
-  if (opt.dedup_screen && opt.screen_level == SimLevel::kSwiftSimMemory) {
+  if (opt.dedup_screen) {
     std::map<std::uint64_t, std::vector<std::size_t>> groups;
     for (const std::size_t i : alive) {
       groups[ScreenSignature(points[i].cfg)].push_back(i);
@@ -480,21 +490,21 @@ SweepReport RunSweep(const std::vector<Application>& apps,
       reps.push_back(members.front());
     }
     report.screen_lanes =
-        run_rung("screen", reps, opt.screen_level,
+        run_rung("screen", reps, kScreenLevel,
                  &PointOutcome::screen_cycles, &PointOutcome::screen_wall);
     for (const auto& [sig, members] : groups) {
       const PointOutcome& rep = report.points[members.front()];
       for (std::size_t k = 1; k < members.size(); ++k) {
         PointOutcome& po = report.points[members[k]];
         po.screen_cycles = rep.screen_cycles;
-        po.level_reached = opt.screen_level;
+        po.level_reached = kScreenLevel;
         ++report.screen_deduped;
       }
     }
     report.screen_sims = reps.size();
   } else {
     report.screen_lanes =
-        run_rung("screen", alive, opt.screen_level,
+        run_rung("screen", alive, kScreenLevel,
                  &PointOutcome::screen_cycles, &PointOutcome::screen_wall);
     report.screen_sims = alive.size();
   }
@@ -517,15 +527,15 @@ SweepReport RunSweep(const std::vector<Application>& apps,
         opt.refine_rung &&
         (opt.max_promote == 0 || t1 > opt.max_promote);
     if (!will_refine) t1 = target_for(alive.size(), /*apply_cap=*/true);
-    PruneRung("screen", opt.screen_delta, t1,
+    PruneRung("screen", kScreenDelta, t1,
               /*hard_cap=*/will_refine ? 0 : opt.max_promote,
               &PointOutcome::screen_cycles, &alive, &report.points);
     if (journal) journal->CommitPrune("screen", alive);
     if (will_refine && alive.size() > 1) {
       report.refined = alive.size();
-      run_rung("refine", alive, opt.refine_level,
+      run_rung("refine", alive, kRefineLevel,
                &PointOutcome::refine_cycles, &PointOutcome::refine_wall);
-      PruneRung("refine", opt.refine_delta,
+      PruneRung("refine", kRefineDelta,
                 target_for(alive.size(), /*apply_cap=*/true),
                 /*hard_cap=*/opt.max_promote, &PointOutcome::refine_cycles,
                 &alive, &report.points);

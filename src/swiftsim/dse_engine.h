@@ -69,19 +69,13 @@ struct DseOptions {
   double keep_fraction = 0.25;
   unsigned min_keep = 2;
   unsigned max_promote = 8;  // 0 = uncapped
-  /// Relative model-error band of the cycles estimate per rung: a point
-  /// retires on bounds when another survivor's upper bound is below its
-  /// lower bound at no larger area.
-  double screen_delta = 0.15;
-  double refine_delta = 0.05;
   /// Screen-rung dedup: the analytical memory model is invariant under
   /// the cycle-accurate-only knobs (warp scheduler policy, cache
   /// replacement policy — see interval_model.h), so points differing only
-  /// in those fields share one screening simulation. Only applies when
-  /// screen_level is the analytical-memory level.
+  /// in those fields share one screening simulation.
   bool dedup_screen = true;
-  SimLevel screen_level = SimLevel::kSwiftSimMemory;
-  SimLevel refine_level = SimLevel::kSwiftSimBasic;
+  /// Screening runs kSwiftSimMemory and the middle rung kSwiftSimBasic;
+  /// the promoted points run at final_level.
   SimLevel final_level = SimLevel::kDetailed;
   /// Crash consistency (DESIGN.md §16). When set, every rung result and
   /// pruning decision is appended to a write-ahead journal at this path

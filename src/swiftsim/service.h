@@ -242,9 +242,8 @@ class SimulationService {
 
   /// One worker lane: pops admitted jobs and runs them to completion.
   /// Lanes are dedicated threads, NOT tasks on the shared pool — a lane
-  /// parked in Pop (or blocked in a nested TaskGroup::Wait) would occupy
-  /// a pool worker and starve the parallelism running jobs submit to
-  /// that same pool (trace builds, the pre-pass).
+  /// parked in Pop would occupy a pool worker and take it from the
+  /// parallel work running jobs submit to that same pool (trace builds).
   /// The pool carries the parallel work; lanes only carry the waiting.
   void LaneLoop();
   void ProcessJob(const std::shared_ptr<PendingJob>& job);

@@ -26,7 +26,7 @@ TEST(Metrics, LambdaSource) {
     ++calls;
     return std::uint64_t{42};
   });
-  EXPECT_EQ(g.Read("mod.computed"), 42u);
+  EXPECT_EQ(g.Snapshot().at("mod.computed"), 42u);
   EXPECT_EQ(calls, 1);
 }
 
@@ -35,22 +35,6 @@ TEST(Metrics, DuplicateRegistrationThrows) {
   std::uint64_t a = 0;
   g.Register("m", "c", &a);
   EXPECT_THROW(g.Register("m", "c", &a), SimError);
-}
-
-TEST(Metrics, ReadUnknownThrows) {
-  MetricsGatherer g;
-  EXPECT_THROW(g.Read("nope.counter"), SimError);
-}
-
-TEST(Metrics, SumAcrossModules) {
-  MetricsGatherer g;
-  std::uint64_t a = 3, b = 4, c = 100;
-  g.Register("sm0.l1", "hits", &a);
-  g.Register("sm1.l1", "hits", &b);
-  g.Register("l2.0", "hits", &c);
-  EXPECT_EQ(g.SumAcross("sm", "hits"), 7u);
-  EXPECT_EQ(g.SumAcross("l2", "hits"), 100u);
-  EXPECT_EQ(g.SumAcross("dram", "hits"), 0u);
 }
 
 }  // namespace

@@ -11,12 +11,14 @@
 
 #include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -189,13 +191,34 @@ TEST_F(ServiceTest, IdenticalInFlightJobsCoalesce) {
   JobRequest j = Job("burst", "NW", /*iterations=*/2);
   Cycle want = Reference(j);
 
+  // The lane delivers the blocker's response on its own thread, so a
+  // callback that waits holds the lane. The leader then stays queued,
+  // and in flight, until every twin has been submitted; a warm leader
+  // cannot finish before a late twin arrives.
   std::mutex mu;
+  std::condition_variable cv;
+  bool all_submitted = false;
+  std::atomic<bool> blocker_done{false};
+  Response blocked;
+  JobRequest blocker = Job("blocker", "BFS", /*iterations=*/1,
+                           /*seed=*/0xb10c);
+  Response rejection;
+  ASSERT_TRUE(svc.Submit(
+      blocker,
+      [&](const Response& r) {
+        std::unique_lock<std::mutex> lk(mu);
+        cv.wait(lk, [&] { return all_submitted; });
+        blocked = r;
+        blocker_done.store(true);
+      },
+      &rejection))
+      << rejection.error_message;
+
   std::vector<Response> got;
   std::atomic<int> pending{kClients};
   for (int i = 0; i < kClients; ++i) {
     JobRequest each = j;
     each.id = "burst-" + std::to_string(i);
-    Response rejection;
     bool accepted = svc.Submit(
         each,
         [&](const Response& r) {
@@ -204,10 +227,27 @@ TEST_F(ServiceTest, IdenticalInFlightJobsCoalesce) {
           pending.fetch_sub(1);
         },
         &rejection);
-    ASSERT_TRUE(accepted) << rejection.error_message;
+    if (!accepted) {
+      // Release the lane before failing, or Stop() would wait forever.
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        all_submitted = true;
+      }
+      cv.notify_all();
+      FAIL() << rejection.error_message;
+    }
   }
-  while (pending.load() > 0) std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    all_submitted = true;
+  }
+  cv.notify_all();
+  while (pending.load() > 0 || !blocker_done.load()) {
+    std::this_thread::yield();
+  }
 
+  ASSERT_TRUE(blocked.ok) << blocked.error_message;
+  EXPECT_FALSE(blocked.coalesced);
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kClients));
   std::size_t coalesced = 0;
   for (const Response& r : got) {
@@ -362,6 +402,22 @@ TEST_F(ServiceTest, OversizedAndUnknownJobsRejectedBeforeAdmission) {
   EXPECT_FALSE(svc.Submit(bad_cfg, [](const Response&) {}, &rejection));
   EXPECT_EQ(rejection.error, ErrorCode::kBadConfig);
   EXPECT_NE(rejection.error_message.find("no_such_knob"), std::string::npos);
+}
+
+TEST_F(ServiceTest, InvalidConfigValueNamesTheFieldNotTheSource) {
+  // A value that parses but fails validation is the client's mistake: the
+  // rejection names the field and carries no source file location.
+  SimulationService svc(ServiceOptions{});
+  Response rejection;
+  JobRequest zero_sms = Job("zero-sms", "NW");
+  zero_sms.config_ini = "[gpu]\nnum_sms = 0\n";
+  EXPECT_FALSE(svc.Submit(zero_sms, [](const Response&) {}, &rejection));
+  EXPECT_EQ(rejection.error, ErrorCode::kBadConfig);
+  EXPECT_NE(rejection.error_message.find("num_sms"), std::string::npos)
+      << rejection.error_message;
+  EXPECT_FALSE(std::regex_search(rejection.error_message,
+                                 std::regex(R"(\.(cc|h):[0-9]+)")))
+      << rejection.error_message;
 }
 
 TEST_F(ServiceTest, WatchdogTimeoutIsIsolatedAndServiceKeepsServing) {

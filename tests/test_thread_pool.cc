@@ -1,11 +1,13 @@
 // Unit tests for the shared persistent thread pool: completion, ordering,
-// exception propagation and reuse across submissions.
+// exception propagation, nested calls and reuse across submissions.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -34,39 +36,54 @@ TEST(ThreadPool, ParallelForZeroItemsIsANoOp) {
   pool.ParallelFor(0, 0, [&](std::size_t) { FAIL(); });
 }
 
-TEST(ThreadPool, TaskGroupWaitsForAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  ThreadPool::TaskGroup group(pool);
-  for (int t = 0; t < 20; ++t) {
-    group.Run([&] { done.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(done.load(), 20);
-}
-
-TEST(ThreadPool, WorkerExceptionRethrownOnJoiningThread) {
-  // An SS_CHECK failure inside a worker must surface as a SimError from
-  // Wait(), not std::terminate the process.
-  ThreadPool pool(2);
-  {
-    ThreadPool::TaskGroup group(pool);
-    group.Run([] { SS_CHECK(false, "boom in worker"); });
-    EXPECT_THROW(group.Wait(), SimError);
-  }
-  // The pool survives and keeps executing work afterwards.
-  std::atomic<int> done{0};
-  pool.ParallelFor(8, 0, [&](std::size_t) { done.fetch_add(1); });
-  EXPECT_EQ(done.load(), 8);
-}
-
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
+  // An SS_CHECK failure inside an item surfaces as a SimError on the
+  // caller, not std::terminate, and the pool keeps executing work.
   ThreadPool pool(4);
   EXPECT_THROW(pool.ParallelFor(100, 0,
                                 [&](std::size_t i) {
                                   SS_CHECK(i != 37, "index 37 rejected");
                                 }),
                SimError);
+  std::atomic<int> done{0};
+  pool.ParallelFor(8, 0, [&](std::size_t) { done.fetch_add(1); });
+  EXPECT_EQ(done.load(), 8);
+}
+
+TEST(ThreadPool, WorkerExceptionRethrownOnJoiningThread) {
+  // Both items wait for each other, so one runs on the caller and the
+  // other on a worker. Only the worker's item throws; its SimError must
+  // reach the caller, and the pool must keep executing work afterwards.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch both(2);
+  EXPECT_THROW(pool.ParallelFor(2, 0,
+                                [&](std::size_t) {
+                                  both.arrive_and_wait();
+                                  SS_CHECK(std::this_thread::get_id() ==
+                                               caller,
+                                           "boom in worker");
+                                }),
+               SimError);
+  std::atomic<int> done{0};
+  pool.ParallelFor(8, 0, [&](std::size_t) { done.fetch_add(1); });
+  EXPECT_EQ(done.load(), 8);
+}
+
+TEST(ThreadPool, NestedParallelForFinishesWhileEveryWorkerIsBusy) {
+  // Every outer item waits until all of them have started, so each worker
+  // and the caller hold one before any inner call. The inner helpers then
+  // cannot start, and each inner ParallelFor must finish on its own caller.
+  ThreadPool pool(2);
+  const std::size_t outer = pool.size() + 1;
+  std::latch started(static_cast<std::ptrdiff_t>(outer));
+  std::vector<std::atomic<int>> hits(outer * 4);
+  pool.ParallelFor(outer, 0, [&](std::size_t o) {
+    started.arrive_and_wait();
+    pool.ParallelFor(4, 0,
+                     [&](std::size_t i) { hits[o * 4 + i].fetch_add(1); });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ReusableAcrossManySubmissions) {
