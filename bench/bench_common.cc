@@ -61,11 +61,14 @@ BenchFlag PathFlag(const char* name, std::string* out) {
           }};
 }
 
-template <typename T>
-BenchFlag UintFlag(const char* name, T* out) {
-  return {name, true, [name, out](const std::string& v) {
-            *out = static_cast<T>(ParseUint(v, name));
-          }};
+// A value flag holding a non-negative integer that must fit `*out`.
+BenchFlag UintFlag(const char* name, std::uint64_t* out) {
+  return {name, true,
+          [name, out](const std::string& v) { *out = ParseUint(v, name); }};
+}
+BenchFlag UintFlag(const char* name, unsigned* out) {
+  return {name, true,
+          [name, out](const std::string& v) { *out = ParseUnsigned(v, name); }};
 }
 
 // A switch that sets `*out` to `value`.

@@ -198,8 +198,7 @@ int RunDse(Bench& b) {
   dopt.keep_fraction = b.Double("--keep-fraction", dopt.keep_fraction);
   SS_CHECK(dopt.keep_fraction > 0 && dopt.keep_fraction <= 1,
            "--keep-fraction must be in (0, 1]");
-  dopt.max_promote =
-      static_cast<unsigned>(b.Uint("--max-promote", dopt.max_promote));
+  dopt.max_promote = b.Unsigned("--max-promote", dopt.max_promote);
   dopt.journal_path = b.String("--journal", "");
   if (b.Has("--resume")) {
     dopt.journal_path = b.String("--resume", "");

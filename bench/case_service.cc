@@ -338,7 +338,7 @@ int RunService(Bench& b) {
   const BenchOptions& opt = b.opt();
   const std::string daemon_path = b.String("--daemon", "tools/swiftsimd");
   const bool smoke = b.Has("--smoke");
-  unsigned repeats = static_cast<unsigned>(b.Uint("--repeats", 4));
+  unsigned repeats = b.Unsigned("--repeats", 4);
   if (smoke) repeats = std::min(repeats, 3u);
   constexpr unsigned kIterations = 8;
 

@@ -178,6 +178,10 @@ std::uint64_t Bench::Uint(const std::string& flag,
   return Has(flag) ? ParseUint(flags_.at(flag), flag) : fallback;
 }
 
+unsigned Bench::Unsigned(const std::string& flag, unsigned fallback) const {
+  return Has(flag) ? ParseUnsigned(flags_.at(flag), flag) : fallback;
+}
+
 double Bench::Double(const std::string& flag, double fallback) const {
   return Has(flag) ? ParseDouble(flags_.at(flag), flag) : fallback;
 }

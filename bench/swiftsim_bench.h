@@ -35,6 +35,7 @@ class Bench {
   std::string String(const std::string& flag,
                      const std::string& fallback) const;
   std::uint64_t Uint(const std::string& flag, std::uint64_t fallback) const;
+  unsigned Unsigned(const std::string& flag, unsigned fallback) const;
   double Double(const std::string& flag, double fallback) const;
 
   /// Stamps `r` with the case, options and host and appends it to --json.

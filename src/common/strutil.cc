@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 
 #include "common/status.h"
 
@@ -91,6 +92,15 @@ std::int64_t ParseInt(std::string_view s, std::string_view context) {
 
 std::uint64_t ParseUint(std::string_view s, std::string_view context) {
   return ParseIntegral<std::uint64_t>(s, context);
+}
+
+unsigned ParseUnsigned(std::string_view s, std::string_view context) {
+  const std::uint64_t v = ParseUint(s, context);
+  if (v > std::numeric_limits<unsigned>::max()) {
+    throw SimError("'" + std::string(Trim(s)) + "' does not fit unsigned " +
+                   std::string(context));
+  }
+  return static_cast<unsigned>(v);
 }
 
 double ParseDouble(std::string_view s, std::string_view context) {

@@ -25,6 +25,10 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 std::int64_t ParseInt(std::string_view s, std::string_view context);
 std::uint64_t ParseUint(std::string_view s, std::string_view context);
 
+/// ParseUint for an `unsigned` destination: a value above UINT_MAX throws
+/// SimError naming `context` instead of wrapping.
+unsigned ParseUnsigned(std::string_view s, std::string_view context);
+
 /// Parses a double. Throws SimError on malformed input.
 double ParseDouble(std::string_view s, std::string_view context);
 

@@ -1,8 +1,8 @@
 #include "config/gpu_config.h"
 
 #include <charconv>
-#include <sstream>
-#include <vector>
+#include <string_view>
+#include <type_traits>
 
 #include "common/bitutil.h"
 #include "common/status.h"
@@ -157,68 +157,127 @@ void GpuConfig::Validate() const {
 
 namespace {
 
-void LoadCache(const IniFile& ini, const std::string& sec, CacheParams* c) {
-  c->size_bytes = ini.GetUint(sec + ".size_bytes", c->size_bytes);
-  c->assoc = static_cast<unsigned>(ini.GetUint(sec + ".assoc", c->assoc));
-  c->line_bytes =
-      static_cast<unsigned>(ini.GetUint(sec + ".line_bytes", c->line_bytes));
-  c->sector_bytes = static_cast<unsigned>(
-      ini.GetUint(sec + ".sector_bytes", c->sector_bytes));
-  c->banks = static_cast<unsigned>(ini.GetUint(sec + ".banks", c->banks));
-  c->mshr_entries = static_cast<unsigned>(
-      ini.GetUint(sec + ".mshr_entries", c->mshr_entries));
-  c->mshr_max_merge = static_cast<unsigned>(
-      ini.GetUint(sec + ".mshr_max_merge", c->mshr_max_merge));
-  if (ini.Has(sec + ".replacement")) {
-    c->replacement =
-        ReplacementPolicyFromString(ini.GetString(sec + ".replacement"));
-  }
-  if (ini.Has(sec + ".write_policy")) {
-    c->write_policy = WritePolicyFromString(ini.GetString(sec + ".write_policy"));
-  }
-  c->latency = static_cast<unsigned>(ini.GetUint(sec + ".latency", c->latency));
-  c->streaming = ini.GetBool(sec + ".streaming", c->streaming);
+// The one list of INI keys: every GpuConfig field once, as
+// v("section.key", field), in canonical (ToIniString) order. FromIni,
+// ToIniString and IniKeys are visitors over it, so a new field is one line
+// here and the reader, the writer and the hash cannot disagree on it.
+template <typename Config, typename Visitor>
+void VisitFields(Config& c, Visitor&& v) {
+  v("gpu.name", c.name);
+  v("gpu.num_sms", c.num_sms);
+  v("gpu.sub_cores_per_sm", c.sub_cores_per_sm);
+  v("gpu.max_warps_per_sm", c.max_warps_per_sm);
+  v("gpu.max_ctas_per_sm", c.max_ctas_per_sm);
+  v("gpu.max_threads_per_sm", c.max_threads_per_sm);
+  v("gpu.registers_per_sm", c.registers_per_sm);
+  v("gpu.shared_mem_per_sm", c.shared_mem_per_sm);
+  v("core.sched_policy", c.sched_policy);
+  v("core.schedulers_per_sub_core", c.schedulers_per_sub_core);
+  v("core.ldst_units_per_sub_core", c.ldst_units_per_sub_core);
+  v("core.ldst_queue_depth", c.ldst_queue_depth);
+  v("core.shared_mem_latency", c.shared_mem_latency);
+  v("core.shared_mem_banks", c.shared_mem_banks);
+  v("int_unit.lanes", c.int_unit.lanes);
+  v("int_unit.latency", c.int_unit.latency);
+  v("int_unit.issue_interval", c.int_unit.issue_interval_override);
+  v("sp_unit.lanes", c.sp_unit.lanes);
+  v("sp_unit.latency", c.sp_unit.latency);
+  v("sp_unit.issue_interval", c.sp_unit.issue_interval_override);
+  v("dp_unit.lanes", c.dp_unit.lanes);
+  v("dp_unit.latency", c.dp_unit.latency);
+  v("dp_unit.issue_interval", c.dp_unit.issue_interval_override);
+  v("sfu_unit.lanes", c.sfu_unit.lanes);
+  v("sfu_unit.latency", c.sfu_unit.latency);
+  v("sfu_unit.issue_interval", c.sfu_unit.issue_interval_override);
+  v("tensor_unit.lanes", c.tensor_unit.lanes);
+  v("tensor_unit.latency", c.tensor_unit.latency);
+  v("tensor_unit.issue_interval", c.tensor_unit.issue_interval_override);
+  v("l1.size_bytes", c.l1.size_bytes);
+  v("l1.assoc", c.l1.assoc);
+  v("l1.line_bytes", c.l1.line_bytes);
+  v("l1.sector_bytes", c.l1.sector_bytes);
+  v("l1.banks", c.l1.banks);
+  v("l1.mshr_entries", c.l1.mshr_entries);
+  v("l1.mshr_max_merge", c.l1.mshr_max_merge);
+  v("l1.replacement", c.l1.replacement);
+  v("l1.write_policy", c.l1.write_policy);
+  v("l1.latency", c.l1.latency);
+  v("l1.streaming", c.l1.streaming);
+  v("l2.size_bytes", c.l2.size_bytes);
+  v("l2.assoc", c.l2.assoc);
+  v("l2.line_bytes", c.l2.line_bytes);
+  v("l2.sector_bytes", c.l2.sector_bytes);
+  v("l2.banks", c.l2.banks);
+  v("l2.mshr_entries", c.l2.mshr_entries);
+  v("l2.mshr_max_merge", c.l2.mshr_max_merge);
+  v("l2.replacement", c.l2.replacement);
+  v("l2.write_policy", c.l2.write_policy);
+  v("l2.latency", c.l2.latency);
+  v("l2.streaming", c.l2.streaming);
+  v("mem.num_partitions", c.num_mem_partitions);
+  v("mem.l2_drain_attempts", c.l2_drain_attempts);
+  v("noc.latency", c.noc.latency);
+  v("noc.bytes_per_cycle", c.noc.bytes_per_cycle);
+  v("noc.input_queue_depth", c.noc.input_queue_depth);
+  v("noc.output_queue_depth", c.noc.output_queue_depth);
+  v("dram.latency", c.dram.latency);
+  v("dram.row_hit_latency", c.dram.row_hit_latency);
+  v("dram.row_bytes", c.dram.row_bytes);
+  v("dram.bytes_per_cycle", c.dram.bytes_per_cycle);
+  v("dram.queue_depth", c.dram.queue_depth);
+  v("effects.icache_miss_rate", c.effects.icache_miss_rate);
+  v("effects.icache_miss_penalty", c.effects.icache_miss_penalty);
+  v("effects.regbank_conflict_rate", c.effects.regbank_conflict_rate);
+  v("effects.writeback_bus_width", c.effects.writeback_bus_width);
+  v("effects.dram_refresh_interval", c.effects.dram_refresh_interval);
+  v("effects.dram_refresh_penalty", c.effects.dram_refresh_penalty);
+  v("effects.kernel_launch_overhead", c.effects.kernel_launch_overhead);
+  v("effects.l2_latency_extra", c.effects.l2_latency_extra);
+  v("effects.dram_latency_extra", c.effects.dram_latency_extra);
 }
 
-void LoadExecUnit(const IniFile& ini, const std::string& sec,
-                  ExecUnitConfig* u) {
-  u->lanes = static_cast<unsigned>(ini.GetUint(sec + ".lanes", u->lanes));
-  u->latency = static_cast<unsigned>(ini.GetUint(sec + ".latency", u->latency));
-  u->issue_interval_override = static_cast<unsigned>(
-      ini.GetUint(sec + ".issue_interval", u->issue_interval_override));
+// FromIni's field parsers: the field's type picks one. Malformed and
+// out-of-range values throw SimError naming the key.
+void ParseField(const std::string& s, const char*, std::string& f) { f = s; }
+void ParseField(const std::string& s, const char* key, unsigned& f) {
+  f = ParseUnsigned(s, key);
+}
+void ParseField(const std::string& s, const char* key, std::uint64_t& f) {
+  f = ParseUint(s, key);
+}
+void ParseField(const std::string& s, const char* key, double& f) {
+  f = ParseDouble(s, key);
+}
+void ParseField(const std::string& s, const char* key, bool& f) {
+  f = ParseBool(s, key);
+}
+void ParseField(const std::string& s, const char*, SchedPolicy& f) {
+  f = SchedPolicyFromString(s);
+}
+void ParseField(const std::string& s, const char*, ReplacementPolicy& f) {
+  f = ReplacementPolicyFromString(s);
+}
+void ParseField(const std::string& s, const char*, WritePolicy& f) {
+  f = WritePolicyFromString(s);
 }
 
-void DumpCache(std::ostringstream& os, const std::string& sec,
-               const CacheParams& c) {
-  os << "[" << sec << "]\n"
-     << "size_bytes = " << c.size_bytes << "\n"
-     << "assoc = " << c.assoc << "\n"
-     << "line_bytes = " << c.line_bytes << "\n"
-     << "sector_bytes = " << c.sector_bytes << "\n"
-     << "banks = " << c.banks << "\n"
-     << "mshr_entries = " << c.mshr_entries << "\n"
-     << "mshr_max_merge = " << c.mshr_max_merge << "\n"
-     << "replacement = " << ToString(c.replacement) << "\n"
-     << "write_policy = " << ToString(c.write_policy) << "\n"
-     << "latency = " << c.latency << "\n"
-     << "streaming = " << (c.streaming ? "true" : "false") << "\n";
-}
-
-// The shortest text that reads back as the same double: the stream's
-// default 6 significant digits would let configs that differ in a later
-// digit share one canonical hash.
-std::string Exact(double v) {
+// ToIniString's field writers. Doubles are written as the shortest text
+// that reads back as the same double: the stream's default 6 significant
+// digits would let configs that differ in a later digit share one
+// canonical hash.
+void AppendField(std::string& out, const std::string& f) { out += f; }
+void AppendField(std::string& out, bool f) { out += f ? "true" : "false"; }
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void AppendField(std::string& out, T f) {
   char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+  const auto res = std::to_chars(buf, buf + sizeof buf, f);
+  out.append(buf, res.ptr);
 }
-
-void DumpExecUnit(std::ostringstream& os, const std::string& sec,
-                  const ExecUnitConfig& u) {
-  os << "[" << sec << "]\n"
-     << "lanes = " << u.lanes << "\n"
-     << "latency = " << u.latency << "\n"
-     << "issue_interval = " << u.issue_interval_override << "\n";
+template <typename E>
+  requires std::is_enum_v<E>
+void AppendField(std::string& out, E f) {
+  out += ToString(f);
 }
 
 }  // namespace
@@ -229,143 +288,41 @@ GpuConfig GpuConfig::FromIni(const IniFile& ini) {
 
 GpuConfig GpuConfig::FromIni(const IniFile& ini, GpuConfig base) {
   GpuConfig c = std::move(base);
-  c.name = ini.GetString("gpu.name", c.name);
-  c.num_sms = static_cast<unsigned>(ini.GetUint("gpu.num_sms", c.num_sms));
-  c.sub_cores_per_sm = static_cast<unsigned>(
-      ini.GetUint("gpu.sub_cores_per_sm", c.sub_cores_per_sm));
-  c.max_warps_per_sm = static_cast<unsigned>(
-      ini.GetUint("gpu.max_warps_per_sm", c.max_warps_per_sm));
-  c.max_ctas_per_sm = static_cast<unsigned>(
-      ini.GetUint("gpu.max_ctas_per_sm", c.max_ctas_per_sm));
-  c.max_threads_per_sm = static_cast<unsigned>(
-      ini.GetUint("gpu.max_threads_per_sm", c.max_threads_per_sm));
-  c.registers_per_sm = ini.GetUint("gpu.registers_per_sm", c.registers_per_sm);
-  c.shared_mem_per_sm =
-      ini.GetUint("gpu.shared_mem_per_sm", c.shared_mem_per_sm);
-  if (ini.Has("core.sched_policy")) {
-    c.sched_policy = SchedPolicyFromString(ini.GetString("core.sched_policy"));
-  }
-  c.schedulers_per_sub_core = static_cast<unsigned>(
-      ini.GetUint("core.schedulers_per_sub_core", c.schedulers_per_sub_core));
-  LoadExecUnit(ini, "int_unit", &c.int_unit);
-  LoadExecUnit(ini, "sp_unit", &c.sp_unit);
-  LoadExecUnit(ini, "dp_unit", &c.dp_unit);
-  LoadExecUnit(ini, "sfu_unit", &c.sfu_unit);
-  LoadExecUnit(ini, "tensor_unit", &c.tensor_unit);
-  c.ldst_units_per_sub_core = static_cast<unsigned>(
-      ini.GetUint("core.ldst_units_per_sub_core", c.ldst_units_per_sub_core));
-  c.ldst_queue_depth = static_cast<unsigned>(
-      ini.GetUint("core.ldst_queue_depth", c.ldst_queue_depth));
-  LoadCache(ini, "l1", &c.l1);
-  LoadCache(ini, "l2", &c.l2);
-  c.shared_mem_latency = static_cast<unsigned>(
-      ini.GetUint("core.shared_mem_latency", c.shared_mem_latency));
-  c.shared_mem_banks = static_cast<unsigned>(
-      ini.GetUint("core.shared_mem_banks", c.shared_mem_banks));
-  c.num_mem_partitions = static_cast<unsigned>(
-      ini.GetUint("mem.num_partitions", c.num_mem_partitions));
-  c.l2_drain_attempts = static_cast<unsigned>(
-      ini.GetUint("mem.l2_drain_attempts", c.l2_drain_attempts));
-  c.noc.latency =
-      static_cast<unsigned>(ini.GetUint("noc.latency", c.noc.latency));
-  c.noc.bytes_per_cycle = static_cast<unsigned>(
-      ini.GetUint("noc.bytes_per_cycle", c.noc.bytes_per_cycle));
-  c.noc.input_queue_depth = static_cast<unsigned>(
-      ini.GetUint("noc.input_queue_depth", c.noc.input_queue_depth));
-  c.noc.output_queue_depth = static_cast<unsigned>(
-      ini.GetUint("noc.output_queue_depth", c.noc.output_queue_depth));
-  c.dram.latency =
-      static_cast<unsigned>(ini.GetUint("dram.latency", c.dram.latency));
-  c.dram.row_hit_latency = static_cast<unsigned>(
-      ini.GetUint("dram.row_hit_latency", c.dram.row_hit_latency));
-  c.dram.row_bytes =
-      static_cast<unsigned>(ini.GetUint("dram.row_bytes", c.dram.row_bytes));
-  c.dram.bytes_per_cycle = static_cast<unsigned>(
-      ini.GetUint("dram.bytes_per_cycle", c.dram.bytes_per_cycle));
-  c.dram.queue_depth = static_cast<unsigned>(
-      ini.GetUint("dram.queue_depth", c.dram.queue_depth));
-  c.effects.enabled = ini.GetBool("effects.enabled", c.effects.enabled);
-  c.effects.icache_miss_rate =
-      ini.GetDouble("effects.icache_miss_rate", c.effects.icache_miss_rate);
-  c.effects.icache_miss_penalty = static_cast<unsigned>(ini.GetUint(
-      "effects.icache_miss_penalty", c.effects.icache_miss_penalty));
-  c.effects.regbank_conflict_rate = ini.GetDouble(
-      "effects.regbank_conflict_rate", c.effects.regbank_conflict_rate);
-  c.effects.writeback_bus_width = static_cast<unsigned>(ini.GetUint(
-      "effects.writeback_bus_width", c.effects.writeback_bus_width));
-  c.effects.dram_refresh_interval = static_cast<unsigned>(ini.GetUint(
-      "effects.dram_refresh_interval", c.effects.dram_refresh_interval));
-  c.effects.dram_refresh_penalty = static_cast<unsigned>(ini.GetUint(
-      "effects.dram_refresh_penalty", c.effects.dram_refresh_penalty));
-  c.effects.kernel_launch_overhead = static_cast<unsigned>(ini.GetUint(
-      "effects.kernel_launch_overhead", c.effects.kernel_launch_overhead));
-  c.effects.l2_latency_extra = static_cast<unsigned>(ini.GetUint(
-      "effects.l2_latency_extra", c.effects.l2_latency_extra));
-  c.effects.dram_latency_extra = static_cast<unsigned>(ini.GetUint(
-      "effects.dram_latency_extra", c.effects.dram_latency_extra));
+  VisitFields(c, [&ini](const char* key, auto& field) {
+    if (ini.Has(key)) ParseField(ini.GetString(key), key, field);
+  });
   c.Validate();
   return c;
 }
 
 std::string GpuConfig::ToIniString() const {
-  std::ostringstream os;
-  os << "[gpu]\n"
-     << "name = " << name << "\n"
-     << "num_sms = " << num_sms << "\n"
-     << "sub_cores_per_sm = " << sub_cores_per_sm << "\n"
-     << "max_warps_per_sm = " << max_warps_per_sm << "\n"
-     << "max_ctas_per_sm = " << max_ctas_per_sm << "\n"
-     << "max_threads_per_sm = " << max_threads_per_sm << "\n"
-     << "registers_per_sm = " << registers_per_sm << "\n"
-     << "shared_mem_per_sm = " << shared_mem_per_sm << "\n";
-  os << "[core]\n"
-     << "sched_policy = " << ToString(sched_policy) << "\n"
-     << "schedulers_per_sub_core = " << schedulers_per_sub_core << "\n"
-     << "ldst_units_per_sub_core = " << ldst_units_per_sub_core << "\n"
-     << "ldst_queue_depth = " << ldst_queue_depth << "\n"
-     << "shared_mem_latency = " << shared_mem_latency << "\n"
-     << "shared_mem_banks = " << shared_mem_banks << "\n";
-  DumpExecUnit(os, "int_unit", int_unit);
-  DumpExecUnit(os, "sp_unit", sp_unit);
-  DumpExecUnit(os, "dp_unit", dp_unit);
-  DumpExecUnit(os, "sfu_unit", sfu_unit);
-  DumpExecUnit(os, "tensor_unit", tensor_unit);
-  DumpCache(os, "l1", l1);
-  DumpCache(os, "l2", l2);
-  os << "[mem]\n"
-     << "num_partitions = " << num_mem_partitions << "\n"
-     << "l2_drain_attempts = " << l2_drain_attempts << "\n";
-  os << "[noc]\n"
-     << "latency = " << noc.latency << "\n"
-     << "bytes_per_cycle = " << noc.bytes_per_cycle << "\n"
-     << "input_queue_depth = " << noc.input_queue_depth << "\n"
-     << "output_queue_depth = " << noc.output_queue_depth << "\n";
-  os << "[dram]\n"
-     << "latency = " << dram.latency << "\n"
-     << "row_hit_latency = " << dram.row_hit_latency << "\n"
-     << "row_bytes = " << dram.row_bytes << "\n"
-     << "bytes_per_cycle = " << dram.bytes_per_cycle << "\n"
-     << "queue_depth = " << dram.queue_depth << "\n";
-  os << "[effects]\n"
-     << "enabled = " << (effects.enabled ? "true" : "false") << "\n"
-     << "icache_miss_rate = " << Exact(effects.icache_miss_rate) << "\n"
-     << "icache_miss_penalty = " << effects.icache_miss_penalty << "\n"
-     << "regbank_conflict_rate = " << Exact(effects.regbank_conflict_rate)
-     << "\n"
-     << "writeback_bus_width = " << effects.writeback_bus_width << "\n"
-     << "dram_refresh_interval = " << effects.dram_refresh_interval << "\n"
-     << "dram_refresh_penalty = " << effects.dram_refresh_penalty << "\n"
-     << "kernel_launch_overhead = " << effects.kernel_launch_overhead << "\n"
-     << "l2_latency_extra = " << effects.l2_latency_extra << "\n"
-     << "dram_latency_extra = " << effects.dram_latency_extra << "\n";
-  return os.str();
+  std::string out;
+  out.reserve(2048);
+  std::string_view section;
+  VisitFields(*this, [&](std::string_view key, const auto& field) {
+    const std::size_t dot = key.find('.');
+    if (key.substr(0, dot) != section) {
+      section = key.substr(0, dot);
+      out += '[';
+      out += section;
+      out += "]\n";
+    }
+    out += key.substr(dot + 1);
+    out += " = ";
+    AppendField(out, field);
+    out += '\n';
+  });
+  return out;
 }
 
 const std::set<std::string>& GpuConfig::IniKeys() {
   static const std::set<std::string> keys = [] {
-    const std::vector<std::string> all =
-        IniFile::ParseString(GpuConfig().ToIniString()).Keys();
-    return std::set<std::string>(all.begin(), all.end());
+    const GpuConfig defaults;
+    std::set<std::string> all;
+    VisitFields(defaults, [&all](const char* key, const auto&) {
+      all.insert(key);
+    });
+    return all;
   }();
   return keys;
 }

@@ -109,9 +109,10 @@ struct DramConfig {
 /// Second-order effects only the "silicon" oracle models (DESIGN.md §2):
 /// real hardware differs from any simulator by effects like these, so the
 /// oracle enables them to act as a deterministic stand-in for real-GPU
-/// cycle counts collected with Nsight Compute in the paper.
+/// cycle counts collected with Nsight Compute in the paper. Whether they
+/// apply is the run's ModelSelection::silicon_effects; these fields only
+/// size them.
 struct SiliconEffects {
-  bool enabled = false;
   double icache_miss_rate = 0.06;        // fetch stall probability per instr
   unsigned icache_miss_penalty = 20;     // cycles
   double regbank_conflict_rate = 0.20;   // extra operand-read cycle prob.
@@ -198,8 +199,8 @@ struct GpuConfig {
 
   /// Stable hash of the canonical INI serialization — the config lane of
   /// the memoization cache key. Equal configurations hash equal; any field
-  /// change (including future fields, which must be serialized to
-  /// round-trip) changes the hash.
+  /// change changes the hash, since FromIni, ToIniString and IniKeys walk
+  /// one field list (gpu_config.cc).
   std::uint64_t CanonicalHash() const;
 };
 

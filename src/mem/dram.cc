@@ -7,9 +7,10 @@
 namespace swiftsim {
 
 DramChannel::DramChannel(const DramConfig& cfg, unsigned sector_bytes,
-                         const SiliconEffects& effects)
+                         const SiliconEffects& effects, bool silicon_effects)
     : cfg_(cfg), sector_bytes_(sector_bytes), effects_(effects),
-      next_refresh_(effects.enabled ? effects.dram_refresh_interval
+      refresh_(silicon_effects),
+      next_refresh_(silicon_effects ? effects.dram_refresh_interval
                                     : ~Cycle{0}) {
   queue_.Reserve(cfg.queue_depth);
   in_service_.Reserve(cfg.queue_depth);
@@ -36,7 +37,7 @@ Cycle DramChannel::NextEventAfter(Cycle now) const {
     // free; busy_until_ is the next service opportunity.
     ev = std::min(ev, std::max(busy_until_, now + 1));
   }
-  if (effects_.enabled) {
+  if (refresh_) {
     // Refresh edges mutate channel state even when no traffic is queued;
     // the skip driver must land on each edge to stay bit-identical.
     ev = std::min(ev, std::max(next_refresh_, now + 1));

@@ -30,8 +30,10 @@ struct DramStats {
 
 class DramChannel {
  public:
+  /// `silicon_effects` (ModelSelection) turns on the periodic refresh
+  /// that `effects` sizes.
   DramChannel(const DramConfig& cfg, unsigned sector_bytes,
-              const SiliconEffects& effects);
+              const SiliconEffects& effects, bool silicon_effects);
 
   /// Returns false (no state change) when the controller queue is full.
   bool Enqueue(const MemRequest& req);
@@ -71,6 +73,7 @@ class DramChannel {
   DramConfig cfg_;
   unsigned sector_bytes_;
   SiliconEffects effects_;
+  bool refresh_;
 
   RingBuffer<MemRequest> queue_;
   RingBuffer<InService> in_service_;  // sorted by ready

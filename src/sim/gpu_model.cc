@@ -43,10 +43,9 @@ GpuModel::GpuModel(const GpuConfig& cfg, const ModelSelection& selection,
     for (unsigned p = 0; p < cfg_.num_mem_partitions; ++p) {
       l2_.push_back(std::make_unique<SectorCache>(
           "l2." + std::to_string(p), l2_params, 1000 + p));
-      SiliconEffects effects = cfg_.effects;
-      effects.enabled = sel_.silicon_effects;
       dram_.push_back(std::make_unique<DramChannel>(
-          dram_params, cfg_.l2.sector_bytes, effects));
+          dram_params, cfg_.l2.sector_bytes, cfg_.effects,
+          sel_.silicon_effects));
     }
   }
   partition_next_.assign(l2_.size(), 0);

@@ -6,23 +6,17 @@
 namespace swiftsim {
 
 void MetricsGatherer::Register(const std::string& module,
-                               const std::string& counter, Source source) {
-  const auto [it, inserted] =
-      sources_.try_emplace(module + "." + counter, std::move(source));
-  SS_CHECK(inserted, "duplicate metric '" + it->first + "'");
-}
-
-void MetricsGatherer::Register(const std::string& module,
                                const std::string& counter,
                                const std::uint64_t* var) {
-  Register(module, counter, [var] { return *var; });
+  const auto [it, inserted] = sources_.try_emplace(module + "." + counter, var);
+  SS_CHECK(inserted, "duplicate metric '" + it->first + "'");
 }
 
 std::map<std::string, std::uint64_t> MetricsGatherer::Snapshot() const {
   std::map<std::string, std::uint64_t> out;
   // sources_ is in key order, so every insert lands at the end.
-  for (const auto& [key, source] : sources_) {
-    out.emplace_hint(out.end(), key, source());
+  for (const auto& [key, var] : sources_) {
+    out.emplace_hint(out.end(), key, *var);
   }
   return out;
 }

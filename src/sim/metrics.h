@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,13 +12,8 @@ namespace swiftsim {
 
 class MetricsGatherer {
  public:
-  using Source = std::function<std::uint64_t()>;
-
-  /// Registers a counter under "module.counter".
-  void Register(const std::string& module, const std::string& counter,
-                Source source);
-
-  /// Convenience: register a live counter variable (must outlive this).
+  /// Registers a live counter variable (must outlive this) under
+  /// "module.counter".
   void Register(const std::string& module, const std::string& counter,
                 const std::uint64_t* var);
 
@@ -29,7 +23,7 @@ class MetricsGatherer {
   std::size_t size() const { return sources_.size(); }
 
  private:
-  std::map<std::string, Source> sources_;
+  std::map<std::string, const std::uint64_t*> sources_;
 };
 
 class SmCore;

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/strutil.h"
 #include "sim/sm.h"  // kNever
 
 namespace swiftsim {
@@ -66,8 +67,10 @@ FaultPlan FaultPlan::FromIni(const IniFile& ini) {
   plan.resp_drop_p = ini.GetDouble("fault.resp_drop_p", plan.resp_drop_p);
   plan.resp_retry_cycles =
       ini.GetUint("fault.resp_retry_cycles", plan.resp_retry_cycles);
-  plan.resp_max_drops = static_cast<unsigned>(
-      ini.GetUint("fault.resp_max_drops", plan.resp_max_drops));
+  if (ini.Has("fault.resp_max_drops")) {
+    plan.resp_max_drops = ParseUnsigned(ini.GetString("fault.resp_max_drops"),
+                                        "fault.resp_max_drops");
+  }
   plan.issue_stall_p = ini.GetDouble("fault.issue_stall_p", plan.issue_stall_p);
   plan.issue_stall_cycles =
       ini.GetUint("fault.issue_stall_cycles", plan.issue_stall_cycles);

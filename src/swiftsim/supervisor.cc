@@ -25,6 +25,33 @@ namespace {
 // handler may only touch async-signal-safe state).
 std::atomic<long> g_worker_pid{-1};
 
+/// Responses come from EncodeResponse and are always well-formed JSON; a
+/// parse failure just means "no usable id".
+std::string ResponseLineId(const std::string& line) {
+  try {
+    const JsonValue v = ParseJson(line);
+    const JsonValue* id = v.Find("id");
+    if (id != nullptr && id->is_string()) return id->AsString();
+  } catch (const SimError&) {
+  }
+  return "";
+}
+
+}  // namespace
+
+std::string RequestLineId(const std::string& line, const Limits& limits) {
+  Request req;
+  ErrorCode err = ErrorCode::kBadRequest;
+  std::string msg;
+  std::string id;
+  if (ParseRequestLine(line, limits, &req, &err, &msg, &id)) {
+    return req.op == Op::kSimulate ? req.job.id : req.id;
+  }
+  return id;  // whatever id the malformed line carried — the worker echoes it
+}
+
+long SupervisedWorkerPid() { return g_worker_pid.load(); }
+
 bool ReadLineFd(int fd, std::string* buffer, std::string* line) {
   for (;;) {
     const std::size_t nl = buffer->find('\n');
@@ -53,40 +80,13 @@ bool WriteAllFd(int fd, const std::string& data) {
     const ssize_t n = ::write(fd, p, left);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return false;  // dead pipe — the entry stays pending for replay
+      return false;  // the peer is gone
     }
     p += n;
     left -= static_cast<std::size_t>(n);
   }
   return true;
 }
-
-/// Responses come from EncodeResponse and are always well-formed JSON; a
-/// parse failure just means "no usable id".
-std::string ResponseLineId(const std::string& line) {
-  try {
-    const JsonValue v = ParseJson(line);
-    const JsonValue* id = v.Find("id");
-    if (id != nullptr && id->is_string()) return id->AsString();
-  } catch (const SimError&) {
-  }
-  return "";
-}
-
-}  // namespace
-
-std::string RequestLineId(const std::string& line, const Limits& limits) {
-  Request req;
-  ErrorCode err = ErrorCode::kBadRequest;
-  std::string msg;
-  std::string id;
-  if (ParseRequestLine(line, limits, &req, &err, &msg, &id)) {
-    return req.op == Op::kSimulate ? req.job.id : req.id;
-  }
-  return id;  // whatever id the malformed line carried — the worker echoes it
-}
-
-long SupervisedWorkerPid() { return g_worker_pid.load(); }
 
 Supervisor::Supervisor(SupervisorOptions opt, WorkerMain worker_main)
     : opt_(std::move(opt)), worker_main_(std::move(worker_main)) {}
@@ -148,6 +148,7 @@ void Supervisor::OnClientLine(const std::string& line) {
 
 bool Supervisor::SendToWorkerLocked(Pending* p) {
   if (worker_in_fd_ < 0) return false;  // between incarnations
+  // A dead pipe leaves the entry pending for replay.
   if (!WriteAllFd(worker_in_fd_, p->line + "\n")) return false;
   p->sent_incarnation = incarnation_;
   return true;

@@ -141,4 +141,13 @@ std::string RequestLineId(const std::string& line, const Limits& limits);
 /// forwarder uses it from a signal handler.
 long SupervisedWorkerPid();
 
+/// The daemon's fd line transport, shared by the supervisor pipes, the
+/// worker's pipe ends and the socket connections. Both retry on EINTR.
+/// ReadLineFd returns the next line without its '\n' (a final
+/// unterminated line included) and false at EOF; `buffer` carries the
+/// bytes read past it. WriteAllFd writes all of `data` and returns false
+/// when the peer is gone.
+bool ReadLineFd(int fd, std::string* buffer, std::string* line);
+bool WriteAllFd(int fd, const std::string& data);
+
 }  // namespace swiftsim::service

@@ -521,6 +521,11 @@ TEST(Chaos, FaultPlanValidateRejectsBadPlans) {
   missing_span.resp_delay_p = 0.5;  // no resp_delay_cycles
   EXPECT_THROW(missing_span.Validate(), SimError);
 
+  // A count past UINT_MAX is refused, not wrapped (to 2 drops here).
+  EXPECT_THROW(FaultPlan::FromIni(IniFile::ParseString(
+                   "[fault]\nresp_max_drops = 4294967298\n")),
+               SimError);
+
   EXPECT_THROW(FaultPlan::FromFile("/nonexistent/fault_plan.ini"), SimError);
 }
 

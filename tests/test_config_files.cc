@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "config/gpu_config.h"
 #include "config/ini.h"
 #include "config/presets.h"
 
@@ -27,9 +31,14 @@ TEST_P(ConfigFiles, FileMatchesBuiltInPreset) {
   const std::string dir = ConfigDir();
   if (dir.empty()) GTEST_SKIP() << "configs/ not found from test cwd";
   const GpuConfig preset = PresetByName(GetParam());
-  const GpuConfig loaded =
-      GpuConfig::FromIni(IniFile::ParseFile(dir + "/" + GetParam() + ".ini"));
-  EXPECT_EQ(loaded.ToIniString(), preset.ToIniString());
+  const IniFile file = IniFile::ParseFile(dir + "/" + GetParam() + ".ini");
+  EXPECT_EQ(GpuConfig::FromIni(file).ToIniString(), preset.ToIniString());
+  // FromIni ignores unknown keys, so a stale line (a deleted or renamed
+  // key) would otherwise pass unnoticed; a missing one would fall back to
+  // the default silently.
+  const std::vector<std::string> keys = file.Keys();
+  EXPECT_EQ(std::set<std::string>(keys.begin(), keys.end()),
+            GpuConfig::IniKeys());
 }
 
 INSTANTIATE_TEST_SUITE_P(Presets, ConfigFiles,

@@ -40,7 +40,7 @@ Cycle RunUntilResponse(DramChannel& dram, Cycle now, Cycle limit) {
 }
 
 TEST(Dram, ClosedRowLatency) {
-  DramChannel dram(SmallDram(), 32, SiliconEffects{});
+  DramChannel dram(SmallDram(), 32, SiliconEffects{}, false);
   ASSERT_TRUE(dram.Enqueue(Read(0x0, 1)));
   const Cycle done = RunUntilResponse(dram, 0, 1000);
   // access latency 100 + transfer ceil(128/32)=4.
@@ -49,7 +49,7 @@ TEST(Dram, ClosedRowLatency) {
 }
 
 TEST(Dram, RowHitIsFaster) {
-  DramChannel dram(SmallDram(), 32, SiliconEffects{});
+  DramChannel dram(SmallDram(), 32, SiliconEffects{}, false);
   ASSERT_TRUE(dram.Enqueue(Read(0x0, 1)));
   Cycle now = RunUntilResponse(dram, 0, 1000);
   dram.responses().clear();
@@ -62,7 +62,7 @@ TEST(Dram, RowHitIsFaster) {
 }
 
 TEST(Dram, FrFcfsPrefersRowHitInWindow) {
-  DramChannel dram(SmallDram(), 32, SiliconEffects{});
+  DramChannel dram(SmallDram(), 32, SiliconEffects{}, false);
   ASSERT_TRUE(dram.Enqueue(Read(0x0, 1)));      // opens row 0
   Cycle now = RunUntilResponse(dram, 0, 1000);
   dram.responses().clear();
@@ -75,7 +75,7 @@ TEST(Dram, FrFcfsPrefersRowHitInWindow) {
 }
 
 TEST(Dram, WritesConsumeBandwidthSilently) {
-  DramChannel dram(SmallDram(), 32, SiliconEffects{});
+  DramChannel dram(SmallDram(), 32, SiliconEffects{}, false);
   ASSERT_TRUE(dram.Enqueue(Write(0x0)));
   for (Cycle now = 0; now < 300; ++now) dram.Tick(now);
   EXPECT_TRUE(dram.responses().empty());
@@ -85,7 +85,7 @@ TEST(Dram, WritesConsumeBandwidthSilently) {
 }
 
 TEST(Dram, QueueDepthBackpressure) {
-  DramChannel dram(SmallDram(), 32, SiliconEffects{});
+  DramChannel dram(SmallDram(), 32, SiliconEffects{}, false);
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(dram.Enqueue(Read(static_cast<Addr>(i) * 0x1000, i + 1)));
   }
@@ -95,11 +95,10 @@ TEST(Dram, QueueDepthBackpressure) {
 
 TEST(Dram, RefreshBlocksChannelWhenEnabled) {
   SiliconEffects fx;
-  fx.enabled = true;
   fx.dram_refresh_interval = 50;
   fx.dram_refresh_penalty = 500;
-  DramChannel with_refresh(SmallDram(), 32, fx);
-  DramChannel without(SmallDram(), 32, SiliconEffects{});
+  DramChannel with_refresh(SmallDram(), 32, fx, true);
+  DramChannel without(SmallDram(), 32, SiliconEffects{}, false);
   // Enqueue after the refresh point so the penalty delays service.
   for (Cycle now = 0; now < 60; ++now) {
     with_refresh.Tick(now);
@@ -114,7 +113,7 @@ TEST(Dram, RefreshBlocksChannelWhenEnabled) {
 }
 
 TEST(Dram, ResponsesPreserveRequestIdentity) {
-  DramChannel dram(SmallDram(), 32, SiliconEffects{});
+  DramChannel dram(SmallDram(), 32, SiliconEffects{}, false);
   MemRequest r = Read(0x1280, 77);
   r.sm = 5;
   r.sector_mask = 0x6;

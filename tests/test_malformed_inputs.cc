@@ -257,6 +257,19 @@ TEST(MalformedIni, GpuConfigRejectsBadValues) {
   EXPECT_THROW(
       GpuConfig::FromIni(IniFile::ParseString("[gpu]\nnum_sms = 0\n")),
       SimError);
+  // Past UINT_MAX a value is refused by name, not wrapped (to 68 SMs and
+  // to 0 here).
+  for (const char* big : {"4294967364", "4294967296"}) {
+    try {
+      GpuConfig::FromIni(IniFile::ParseString(
+          std::string("[gpu]\nnum_sms = ") + big + "\n"));
+      ADD_FAILURE() << big << " was accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("does not fit unsigned gpu.num_sms"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_THROW(GpuConfig::FromIni(IniFile::ParseFile("/nonexistent/gpu.ini")),
                SimError);
 }
@@ -492,11 +505,21 @@ const char* const kRunSettingConfigs[] = {
     "[degrade]\\nmax_retries = 1\\n",
 };
 
+// Machine configs the config layer must refuse: values that do not fit
+// `unsigned` (they would wrap to 68 SMs, or to 0) and `[effects] enabled`,
+// which is not a key: the job's level decides the silicon effects.
+const char* const kBadMachineConfigs[] = {
+    "[gpu]\\nnum_sms = 4294967364\\n",
+    "[gpu]\\nnum_sms = 4294967296\\n",
+    "[effects]\\nenabled = true\\n",
+};
+
 TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
   // The whole table streamed at a live service, interleaved with jobs the
   // registry and config layers must reject (unknown workload, unknown INI
-  // key, run-setting keys, unknown preset) — every line gets a typed error
-  // response and the daemon answers a healthy job afterwards.
+  // key, run-setting keys, out-of-range values, unknown preset) — every
+  // line gets a typed error response and the daemon answers a healthy job
+  // afterwards.
   service::ServiceOptions opt;
   opt.threads = 1;
   service::SimulationService svc(opt);
@@ -509,6 +532,11 @@ TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
   for (std::size_t i = 0; i < std::size(kRunSettingConfigs); ++i) {
     stream << R"({"op":"simulate","id":"runkey)" << i
            << R"(","workload":"NW","config":")" << kRunSettingConfigs[i]
+           << R"("})" << "\n";
+  }
+  for (std::size_t i = 0; i < std::size(kBadMachineConfigs); ++i) {
+    stream << R"({"op":"simulate","id":"badcfg)" << i
+           << R"(","workload":"NW","config":")" << kBadMachineConfigs[i]
            << R"("})" << "\n";
   }
   stream << R"({"op":"simulate","id":"badpreset","workload":"NW",)"
@@ -540,12 +568,17 @@ TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
   // One response per request line: the table, the rejected jobs, the
   // healthy job, the shutdown acknowledgement.
   EXPECT_EQ(responses,
-            BadRequestLines().size() + std::size(kRunSettingConfigs) + 5);
+            BadRequestLines().size() + std::size(kRunSettingConfigs) +
+                std::size(kBadMachineConfigs) + 5);
   EXPECT_EQ(error_by_id["ghost"], "unknown_workload");
   EXPECT_EQ(error_by_id["badkey"], "bad_config");
   for (std::size_t i = 0; i < std::size(kRunSettingConfigs); ++i) {
     EXPECT_EQ(error_by_id["runkey" + std::to_string(i)], "bad_config")
         << kRunSettingConfigs[i];
+  }
+  for (std::size_t i = 0; i < std::size(kBadMachineConfigs); ++i) {
+    EXPECT_EQ(error_by_id["badcfg" + std::to_string(i)], "bad_config")
+        << kBadMachineConfigs[i];
   }
   EXPECT_EQ(error_by_id["badpreset"], "bad_config");
   EXPECT_TRUE(healthy_ok) << "daemon did not serve a healthy job after the "

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/strutil.h"
 #include "config/ini.h"
 #include "config/presets.h"
 #include "swiftsim/memo_cache.h"
@@ -224,12 +226,61 @@ TEST(Fingerprint, ConcurrentFirstUseMatchesIndependentBuild) {
   }
 }
 
+// A different valid value for an INI value's text: booleans and enums
+// flip, the name grows a suffix, numbers double (0 becomes 1, so powers
+// of two stay powers of two).
+std::string ChangedValue(const std::string& key, const std::string& text) {
+  static const std::map<std::string, std::string> kFlip = {
+      {"true", "false"},
+      {"false", "true"},
+      {"gto", "lrr"},
+      {"lrr", "gto"},
+      {"lru", "fifo"},
+      {"fifo", "lru"},
+      {"write_through", "write_back"},
+      {"write_back", "write_through"},
+  };
+  if (const auto it = kFlip.find(text); it != kFlip.end()) return it->second;
+  if (key == "gpu.name") return text + "-changed";
+  if (text.find('.') != std::string::npos) {
+    char buf[32];
+    const auto res =
+        std::to_chars(buf, buf + sizeof buf, 2 * ParseDouble(text, key));
+    return std::string(buf, res.ptr);
+  }
+  const std::uint64_t n = ParseUint(text, key);
+  return std::to_string(n == 0 ? 1 : 2 * n);
+}
+
 TEST(CanonicalConfigHash, SensitiveToAnyIniField) {
   const GpuConfig base = SmallGpu();
-  GpuConfig timing = base;
-  timing.l2.latency += 1;
-  GpuConfig tail_timing = base;  // the last field ToIniString writes
-  tail_timing.effects.dram_latency_extra += 1;
+  const IniFile base_ini = IniFile::ParseString(base.ToIniString());
+  // Keys Validate() ties to another field; the partner moves with them.
+  const std::map<std::string, std::string> kPartner = {
+      {"l1.line_bytes", "l2.line_bytes"},
+      {"l2.line_bytes", "l1.line_bytes"},
+      {"l1.sector_bytes", "l2.sector_bytes"},
+      {"l2.sector_bytes", "l1.sector_bytes"},
+      {"dram.row_hit_latency", "dram.latency"},
+      {"gpu.max_warps_per_sm", "gpu.max_threads_per_sm"},
+  };
+  // Every key FromIni reads is written by ToIniString and keys the hash.
+  for (const std::string& key : GpuConfig::IniKeys()) {
+    const std::string value = ChangedValue(key, base_ini.GetString(key));
+    IniFile overrides;
+    overrides.Set(key, value);
+    if (const auto it = kPartner.find(key); it != kPartner.end()) {
+      overrides.Set(it->second,
+                    ChangedValue(it->second, base_ini.GetString(it->second)));
+    }
+    GpuConfig changed;
+    ASSERT_NO_THROW(changed = GpuConfig::FromIni(overrides, base))
+        << key << " = " << value;
+    EXPECT_NE(changed.CanonicalHash(), base.CanonicalHash()) << key;
+    EXPECT_EQ(IniFile::ParseString(changed.ToIniString()).GetString(key),
+              value)
+        << key;
+  }
   // Run settings are not config keys: an INI setting all ten of them
   // keys the same memo/DSE entries as the plain config.
   const GpuConfig run_keys = GpuConfig::FromIni(
@@ -253,13 +304,16 @@ TEST(CanonicalConfigHash, SensitiveToAnyIniField) {
       base);
   const GpuConfig legacy_trace = GpuConfig::FromIni(
       IniFile::ParseString("[trace]\nparallel_build = false\n"), base);
+  // [effects] enabled is not a key (the run's SimLevel switches the
+  // silicon effects on): files that carry it key like the plain config.
+  const GpuConfig legacy_effects = GpuConfig::FromIni(
+      IniFile::ParseString("[effects]\nenabled = true\n"), base);
   EXPECT_EQ(base.CanonicalHash(), SmallGpu().CanonicalHash());
   EXPECT_EQ(base.CanonicalHash(), legacy.CanonicalHash());
   EXPECT_EQ(base.CanonicalHash(), legacy_memo.CanonicalHash());
   EXPECT_EQ(base.CanonicalHash(), legacy_trace.CanonicalHash());
+  EXPECT_EQ(base.CanonicalHash(), legacy_effects.CanonicalHash());
   EXPECT_EQ(base.CanonicalHash(), run_keys.CanonicalHash());
-  EXPECT_NE(base.CanonicalHash(), timing.CanonicalHash());
-  EXPECT_NE(base.CanonicalHash(), tail_timing.CanonicalHash());
 }
 
 TEST(CanonicalConfigHash, DoublesKeyToTheLastBit) {

@@ -19,17 +19,6 @@ TEST(Metrics, RegisterAndSnapshot) {
   EXPECT_EQ(g.size(), 2u);
 }
 
-TEST(Metrics, LambdaSource) {
-  MetricsGatherer g;
-  int calls = 0;
-  g.Register("mod", "computed", [&] {
-    ++calls;
-    return std::uint64_t{42};
-  });
-  EXPECT_EQ(g.Snapshot().at("mod.computed"), 42u);
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(Metrics, DuplicateRegistrationThrows) {
   MetricsGatherer g;
   std::uint64_t a = 0;

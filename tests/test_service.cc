@@ -7,10 +7,12 @@
 // binary carries the `tsan` ctest label so -DSWIFTSIM_TSAN=ON builds
 // race-check every path a daemon worker lane touches.
 #include <gtest/gtest.h>
+#include <pthread.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -723,6 +725,34 @@ TEST(Supervisor, RequestLineIdCorrelatesLikeTheService) {
   EXPECT_EQ(service::RequestLineId(R"({"op":"simulate","id":"bad"})",
                                    Limits{}),
             "bad");
+}
+
+// The daemon's one line transport (supervisor pipes, worker pipe ends and
+// socket connections): a signal that interrupts a blocked read is retried,
+// not taken for EOF, and a final unterminated line still arrives.
+TEST(Supervisor, LineTransportRetriesInterruptedReads) {
+  struct sigaction sa {};
+  sa.sa_handler = [](int) {};
+  sa.sa_flags = 0;  // no SA_RESTART: a blocked read() fails with EINTR
+  struct sigaction old {};
+  ASSERT_EQ(::sigaction(SIGUSR2, &sa, &old), 0);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::vector<std::string> lines;
+  std::thread reader([&] {
+    std::string buffer;
+    std::string line;
+    while (service::ReadLineFd(fds[0], &buffer, &line)) lines.push_back(line);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ::pthread_kill(reader.native_handle(), SIGUSR2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(service::WriteAllFd(fds[1], "one\ntwo"));
+  ::close(fds[1]);
+  reader.join();
+  ::close(fds[0]);
+  ::sigaction(SIGUSR2, &old, nullptr);
+  EXPECT_EQ(lines, (std::vector<std::string>{"one", "two"}));
 }
 
 TEST(Supervisor, CleanSessionServesAndExitsZero) {

@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -46,6 +45,7 @@
 namespace {
 
 using swiftsim::SimError;
+using swiftsim::service::ReadLineFd;
 using swiftsim::service::ServeLines;
 using swiftsim::service::ServeResult;
 using swiftsim::service::ServeTransport;
@@ -53,6 +53,7 @@ using swiftsim::service::ServiceOptions;
 using swiftsim::service::SimulationService;
 using swiftsim::service::Supervisor;
 using swiftsim::service::SupervisorOptions;
+using swiftsim::service::WriteAllFd;
 
 void PrintUsage() {
   std::fprintf(stderr, R"(usage: swiftsimd [options]
@@ -114,11 +115,7 @@ void SetValue(const Target& target, const char* v, const std::string& flag) {
   if (auto* s = std::get_if<std::string*>(&target)) {
     **s = v;
   } else if (auto* u = std::get_if<unsigned*>(&target)) {
-    const std::uint64_t n = swiftsim::ParseUint(v, flag);
-    if (n > std::numeric_limits<unsigned>::max()) {
-      throw SimError("'" + std::string(v) + "' does not fit " + flag);
-    }
-    **u = static_cast<unsigned>(n);
+    **u = swiftsim::ParseUnsigned(v, flag);
   } else if (auto* n = std::get_if<std::uint64_t*>(&target)) {
     **n = swiftsim::ParseUint(v, flag);
   } else {
@@ -225,28 +222,6 @@ void InstallDrainHandlers(SimulationService* svc) {
   std::signal(SIGINT, OnShutdownSignal);
 }
 
-bool ReadLineFd(int fd, std::string* buffer, std::string* line) {
-  // `buffer` carries bytes read past the previous newline.
-  for (;;) {
-    std::size_t nl = buffer->find('\n');
-    if (nl != std::string::npos) {
-      line->assign(*buffer, 0, nl);
-      buffer->erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n <= 0) {
-      if (buffer->empty()) return false;
-      // Final unterminated line.
-      line->swap(*buffer);
-      buffer->clear();
-      return true;
-    }
-    buffer->append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
 int ServeSocket(const std::string& path, SimulationService& svc) {
   int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listen_fd < 0) {
@@ -282,15 +257,8 @@ int ServeSocket(const std::string& path, SimulationService& svc) {
         return ReadLineFd(conn, &buffer, line);
       };
       auto write_line = [conn](const std::string& line) {
-        std::string framed = line + "\n";
-        const char* p = framed.data();
-        std::size_t left = framed.size();
-        while (left > 0) {
-          ssize_t n = ::write(conn, p, left);
-          if (n <= 0) return;  // client went away; responses are best-effort
-          p += n;
-          left -= static_cast<std::size_t>(n);
-        }
+        // The client may have gone away; responses are best-effort.
+        WriteAllFd(conn, line + "\n");
       };
       // The service is shared by every connection; Stop() on shutdown is
       // handled here so we can also unblock accept().
@@ -321,15 +289,8 @@ int WorkerMain(int in_fd, int out_fd, const ServiceOptions& opt) {
     return ReadLineFd(in_fd, &buffer, line);
   };
   auto write_line = [out_fd](const std::string& line) {
-    std::string framed = line + "\n";
-    const char* p = framed.data();
-    std::size_t left = framed.size();
-    while (left > 0) {
-      const ssize_t n = ::write(out_fd, p, left);
-      if (n <= 0) return;  // supervisor went away; nobody to answer
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
+    // The supervisor may have gone away; then nobody is left to answer.
+    WriteAllFd(out_fd, line + "\n");
   };
   const ServeResult res = ServeTransport(read_line, write_line, svc);
   if (!res.shutdown) svc.Stop();  // EOF: drain and persist anyway
