@@ -42,6 +42,7 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "swiftsim/simulator.h"
+#include "swiftsim/supervisor.h"
 #include "swiftsim_bench.h"
 
 namespace swiftsim::bench {
@@ -142,31 +143,16 @@ class Daemon {
   }
 
   void Send(const std::string& line) {
-    std::string framed = line + "\n";
-    const char* p = framed.data();
-    std::size_t left = framed.size();
-    while (left > 0) {
-      ssize_t n = ::write(in_fd_, p, left);
-      SS_CHECK(n > 0, "write to daemon failed");
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
+    SS_CHECK(service::WriteAllFd(in_fd_, line + "\n"),
+             "write to daemon failed");
   }
 
   /// Blocking line read; throws when the daemon closes its end early.
   std::string ReadLine() {
-    for (;;) {
-      std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      ssize_t n = ::read(out_fd_, chunk, sizeof chunk);
-      SS_CHECK(n > 0, "daemon closed its output pipe unexpectedly");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
+    std::string line;
+    SS_CHECK(service::ReadLineFd(out_fd_, &buffer_, &line),
+             "daemon closed its output pipe unexpectedly");
+    return line;
   }
 
   /// Reads until `count` replies arrived, keyed by id.
@@ -260,7 +246,6 @@ int RunSuperviseSmoke(const std::string& daemon_path,
        ("swiftsim-supervise-smoke-" + std::to_string(::getpid()))).string();
   fs::create_directories(scratch);
   const std::string pid_file = scratch + "/worker.pid";
-  const std::string journal = scratch + "/jobs.journal";
 
   const std::string app = "BFS";
   constexpr unsigned kIter = 4;
@@ -268,8 +253,7 @@ int RunSuperviseSmoke(const std::string& daemon_path,
 
   Daemon d(daemon_path,
            {"--supervise", "--threads", "2", "--worker-pid-file", pid_file,
-            "--job-journal", journal, "--restart-backoff", "20",
-            "--max-restarts", "4"});
+            "--restart-backoff", "20", "--max-restarts", "4"});
 
   Checks check;
 

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 
 #include "common/log.h"
 #include "common/status.h"
@@ -68,7 +67,7 @@ void FsyncFd(int fd, const std::string& path) {
   }
 }
 
-/// Best-effort directory fsync so a rename/creat is durable, not just the
+/// Best-effort directory fsync so a file creation is durable, not just the
 /// file contents. Some filesystems reject O_RDONLY on directories; a
 /// failure here narrows the durability window, it does not break recovery.
 void FsyncParentDir(const std::string& path) {
@@ -153,13 +152,12 @@ Journal::~Journal() {
   }
 }
 
-void Journal::Open(const std::string& path, bool truncate, Options opt,
+void Journal::Open(const std::string& path, bool truncate,
                    JournalRecovery* recovered) {
   std::lock_guard<std::mutex> lock(mu_);
   SS_CHECK(fd_ < 0, "journal is already open ('" + path_ + "')");
   SS_CHECK(!path.empty(), "journal path is empty");
   path_ = path;
-  opt_ = opt;
   appended_ = 0;
 
   bool fresh = truncate;
@@ -175,10 +173,8 @@ void Journal::Open(const std::string& path, bool truncate, Options opt,
     SS_CHECK(fd_ >= 0, "cannot create journal '" + path + "': " +
                            std::strerror(errno));
     WriteAll(fd_, kFileMagic, sizeof kFileMagic, path_);
-    if (opt_.fsync_each) {
-      FsyncFd(fd_, path_);
-      FsyncParentDir(path_);
-    }
+    FsyncFd(fd_, path_);
+    FsyncParentDir(path_);
     bytes_ = sizeof kFileMagic;
     if (recovered != nullptr) *recovered = JournalRecovery{};
     return;
@@ -194,7 +190,7 @@ void Journal::Open(const std::string& path, bool truncate, Options opt,
     SS_CHECK(::ftruncate(fd_, static_cast<off_t>(rec.valid_bytes)) == 0,
              "cannot truncate torn tail of journal '" + path + "': " +
                  std::strerror(errno));
-    if (opt_.fsync_each) FsyncFd(fd_, path_);
+    FsyncFd(fd_, path_);
     SS_LOG(kWarning) << "journal: recovered path=" << path
                     << " records=" << rec.records.size()
                     << " torn_tail_bytes=" << rec.truncated_bytes;
@@ -205,7 +201,8 @@ void Journal::Open(const std::string& path, bool truncate, Options opt,
   if (recovered != nullptr) *recovered = std::move(rec);
 }
 
-void Journal::AppendLocked(std::string_view payload) {
+void Journal::Append(std::string_view payload) {
+  std::lock_guard<std::mutex> lock(mu_);
   SS_CHECK(fd_ >= 0, "journal is not open");
   SS_CHECK(payload.size() <= kMaxRecordBytes, "journal record too large");
   FrameHeader h;
@@ -219,75 +216,17 @@ void Journal::AppendLocked(std::string_view payload) {
   frame.append(reinterpret_cast<const char*>(&h), sizeof h);
   frame.append(payload.data(), payload.size());
   WriteAll(fd_, frame.data(), frame.size(), path_);
-  if (opt_.fsync_each) FsyncFd(fd_, path_);
+  FsyncFd(fd_, path_);
   bytes_ += frame.size();
   ++appended_;
-}
-
-void Journal::Append(std::string_view payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AppendLocked(payload);
-}
-
-void Journal::Rotate(const std::vector<std::string>& keep) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SS_CHECK(fd_ >= 0, "journal is not open");
-  // Unique temp name per process and rotation, as in MemoCache::SaveToFile.
-  std::ostringstream tmp_name;
-  tmp_name << path_ << ".tmp." << static_cast<long>(::getpid()) << "."
-           << rotations_;
-  const std::string tmp = tmp_name.str();
-  const int tfd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  SS_CHECK(tfd >= 0, "cannot create journal temp '" + tmp + "': " +
-                         std::strerror(errno));
-  std::uint64_t new_bytes = sizeof kFileMagic;
-  try {
-    WriteAll(tfd, kFileMagic, sizeof kFileMagic, tmp);
-    for (const std::string& payload : keep) {
-      FrameHeader h;
-      h.magic = kRecordMagic;
-      h.length = static_cast<std::uint32_t>(payload.size());
-      h.crc = Crc32(payload.data(), payload.size());
-      WriteAll(tfd, &h, sizeof h, tmp);
-      WriteAll(tfd, payload.data(), payload.size(), tmp);
-      new_bytes += sizeof h + payload.size();
-    }
-    FsyncFd(tfd, tmp);
-  } catch (...) {
-    ::close(tfd);
-    std::remove(tmp.c_str());
-    throw;
-  }
-  ::close(tfd);
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    SS_CHECK(false, "rename '" + tmp + "' -> '" + path_ + "' failed");
-  }
-  FsyncParentDir(path_);
-  // The old fd now names the unlinked previous segment; reopen the path.
-  ::close(fd_);
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND, 0644);
-  SS_CHECK(fd_ >= 0, "cannot reopen rotated journal '" + path_ + "'");
-  bytes_ = new_bytes;
-  ++rotations_;
-}
-
-bool Journal::NeedsRotation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return opt_.rotate_bytes != 0 && bytes_ > opt_.rotate_bytes;
 }
 
 void Journal::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0) return;
-  if (opt_.fsync_each) FsyncFd(fd_, path_);
+  FsyncFd(fd_, path_);
   ::close(fd_);
   fd_ = -1;
-}
-
-bool Journal::is_open() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fd_ >= 0;
 }
 
 std::uint64_t Journal::bytes() const {
@@ -298,11 +237,6 @@ std::uint64_t Journal::bytes() const {
 std::uint64_t Journal::appended() const {
   std::lock_guard<std::mutex> lock(mu_);
   return appended_;
-}
-
-std::uint64_t Journal::rotations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rotations_;
 }
 
 void QuarantineCorruptFile(const std::string& path, const std::string& reason) {

@@ -4,23 +4,17 @@
 // The journal is an append-only file of CRC32-framed records. Each record
 // is `[magic u32][payload length u32][payload crc32 u32][payload bytes]`;
 // the file opens with an 8-byte format magic so a journal is never
-// confused with another file kind. Appends are optionally fsync'd per
-// record — a record that Append() returned from survives SIGKILL of the
-// writer. Recovery reads the longest valid prefix and truncates a torn
-// tail (a record cut mid-write by a crash) instead of failing: everything
-// before the tear is intact by construction, everything after it was
-// never acknowledged. A corrupt head, by contrast, means the file is not
+// confused with another file kind. Every append is fsync'd — a record
+// that Append() returned from survives SIGKILL of the writer. Recovery
+// reads the longest valid prefix and truncates a torn tail (a record cut
+// mid-write by a crash) instead of failing: everything before the tear
+// is intact by construction, everything after it was never
+// acknowledged. A corrupt head, by contrast, means the file is not
 // a journal at all and raises SimError — recovery never silently empties
 // a file it does not recognize.
 //
-// Segment rotation reuses the repo's atomic temp+rename idiom (memo-cache
-// and compact-trace saves): the retained records are written to a unique
-// temp file, fsync'd, and renamed over the journal, so a crash during
-// rotation leaves the previous segment intact.
-//
-// Consumers: the resumable DSE sweep engine (dse_engine.h) journals point
-// completions and rung decisions; the daemon supervisor (supervisor.h)
-// journals in-flight jobs so a restarted worker can replay them.
+// Consumer: the resumable DSE sweep engine (dse_engine.h) journals point
+// completions and rung decisions.
 #pragma once
 
 #include <cstdint>
@@ -49,15 +43,6 @@ JournalRecovery ReadJournal(const std::string& path);
 
 class Journal {
  public:
-  struct Options {
-    /// fsync after every Append — the durability contract above. Tests
-    /// that hammer thousands of records may turn it off.
-    bool fsync_each = true;
-    /// Advisory segment size: NeedsRotation() turns true past it so the
-    /// owner can compact via Rotate(). 0 = never.
-    std::uint64_t rotate_bytes = 0;
-  };
-
   Journal() = default;
   ~Journal();
   Journal(const Journal&) = delete;
@@ -68,43 +53,31 @@ class Journal {
   /// recovered — valid records land in `*recovered` (may be null) and a
   /// torn tail is physically truncated off so appends extend a valid
   /// prefix. A missing file starts empty in both modes.
-  void Open(const std::string& path, bool truncate, Options opt,
+  void Open(const std::string& path, bool truncate,
             JournalRecovery* recovered = nullptr);
 
-  /// Appends one framed record (thread-safe) and, per Options, fsyncs.
-  /// The payload may hold any bytes, newlines included.
+  /// Appends one framed record and fsyncs it (thread-safe). The payload
+  /// may hold any bytes, newlines included.
   void Append(std::string_view payload);
 
-  /// Atomically replaces the journal's contents with `keep` (temp file +
-  /// fsync + rename), then continues appending to the new segment.
-  void Rotate(const std::vector<std::string>& keep);
-
-  bool NeedsRotation() const;
   void Close();
 
-  bool is_open() const;
-  std::uint64_t bytes() const;     // current segment size on disk
+  std::uint64_t bytes() const;     // file size on disk
   std::uint64_t appended() const;  // records appended since Open
-  std::uint64_t rotations() const;
-  const std::string& path() const { return path_; }
 
  private:
-  void AppendLocked(std::string_view payload);
-
   mutable std::mutex mu_;
   int fd_ = -1;
   std::string path_;
-  Options opt_;
   std::uint64_t bytes_ = 0;
   std::uint64_t appended_ = 0;
-  std::uint64_t rotations_ = 0;
 };
 
-/// Moves a corrupt advisory file (memo cache, compact trace cache, stale
-/// journal) aside to "<path>.corrupt" — replacing any previous quarantine
-/// of the same name, falling back to plain removal — and logs one
-/// structured warning line naming the path, destination and reason. The
-/// caller then proceeds as a cold miss; nothing is raised.
+/// Moves a corrupt advisory file (memo cache, compact trace cache) aside
+/// to "<path>.corrupt" — replacing any previous quarantine of the same
+/// name, falling back to plain removal — and logs one structured warning
+/// line naming the path, destination and reason. The caller then
+/// proceeds as a cold miss; nothing is raised.
 void QuarantineCorruptFile(const std::string& path, const std::string& reason);
 
 }  // namespace swiftsim

@@ -60,8 +60,8 @@ namespace {
 // at no larger area.
 constexpr double kScreenDelta = 0.15;
 constexpr double kRefineDelta = 0.05;
-// Screening runs the analytical memory model, the level the screen dedup
-// is exact for; the middle rung runs Swift-Sim-Basic.
+// Screening runs the analytical memory model; the middle rung runs
+// Swift-Sim-Basic.
 constexpr SimLevel kScreenLevel = SimLevel::kSwiftSimMemory;
 constexpr SimLevel kRefineLevel = SimLevel::kSwiftSimBasic;
 
@@ -89,12 +89,14 @@ RungStats RunPoint(const std::vector<Application>& apps, const GpuConfig& cfg,
   return s;
 }
 
-/// Canonical hash of the config with the cycle-accurate-only knobs
-/// normalized away. The analytical memory model never reads the warp
-/// scheduler policy or the cache replacement policies (interval_model.h
-/// abstracts them), so two configs with equal signatures produce
-/// bit-identical analytical-memory results and can share one screening
-/// simulation. test_dse pins this invariance.
+/// Canonical hash of the config with the warp scheduler policy and the
+/// cache replacement policies normalized away; configs with equal
+/// signatures share one screening simulation. Only the replacement
+/// policies are unread at kScreenLevel (the cycle-accurate TagArray is
+/// their one reader). Its SM cores are still cycle-accurate and read the
+/// scheduler policy, so a twin's own screen could differ by about 1%
+/// (GEMM at scale 0.08 on the default config: 8810 cycles under gto, 8906
+/// under lrr).
 std::uint64_t ScreenSignature(const GpuConfig& cfg) {
   GpuConfig c = cfg;
   c.sched_policy = SchedPolicy::kGto;
@@ -301,7 +303,7 @@ class SweepJournal {
   void Open(const std::string& path, bool resume,
             const std::string& identity) {
     JournalRecovery rec;
-    journal_.Open(path, /*truncate=*/!resume, Journal::Options{}, &rec);
+    journal_.Open(path, /*truncate=*/!resume, &rec);
     bool have_head = false;
     for (const std::string& r : rec.records) {
       std::istringstream in(r);
@@ -468,10 +470,10 @@ SweepReport RunSweep(const std::vector<Application>& apps,
   for (std::size_t i = 0; i < points.size(); ++i) alive[i] = i;
 
   // Rung 1 — screen everything with the cheap analytical-memory estimate.
-  // Points that are analytically equivalent (equal ScreenSignature: they
-  // differ only in cycle-accurate-only knobs) share one simulation; the
-  // canonical representative — min (cfg_hash, index) — runs, the rest
-  // copy its result, so dedup cannot change any downstream decision.
+  // Points with equal ScreenSignature (they differ only in the scheduler
+  // or replacement policies) share one simulation; the canonical
+  // representative — min (cfg_hash, index) — runs and the rest copy its
+  // result, so the copied estimate does not depend on point order.
   if (opt.dedup_screen) {
     std::map<std::uint64_t, std::vector<std::size_t>> groups;
     for (const std::size_t i : alive) {

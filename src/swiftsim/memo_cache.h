@@ -17,7 +17,7 @@
 //                  nothing is replayed.
 //   ProfileCache — pre-pass MemProfiles keyed by (application
 //                  fingerprint, cache-geometry hash), shared across
-//                  repeated Simulator constructions and across config
+//                  repeated runs of an application and across config
 //                  points that differ only in timing parameters.
 //
 // MemoCache also keeps, per (canonical config hash, SimLevel), the metric

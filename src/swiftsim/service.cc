@@ -603,7 +603,6 @@ std::string SimulationService::StatsJson() const {
   w.Key("restarts").Uint(opt_.sup_restarts);
   w.Key("jobs_replayed").Uint(opt_.sup_jobs_replayed);
   w.Key("retries").Uint(opt_.sup_retries);
-  w.Key("journal_bytes").Uint(opt_.sup_journal_bytes);
   w.Key("app_lanes").Uint(num_lanes_);
   w.Key("queue_capacity").Uint(queue_->capacity());
   w.Key("queue_depth").Uint(queue_->size());

@@ -156,14 +156,13 @@ struct ServiceOptions {
   std::uint64_t memo_max_bytes = 0;
   /// Supervision telemetry snapshot (DESIGN.md §16): filled in by the
   /// supervisor when it spawns this worker so the `stats` op can report
-  /// restart/replay/journal counters. Snapshots are as of worker start —
+  /// restart/replay counters. Snapshots are as of worker start —
   /// the worker cannot observe the live supervisor across the process
   /// boundary.
   bool supervised = false;
   std::uint64_t sup_restarts = 0;
   std::uint64_t sup_jobs_replayed = 0;
   std::uint64_t sup_retries = 0;
-  std::uint64_t sup_journal_bytes = 0;
 };
 
 /// Monotonic service counters (a snapshot; `stats` op serializes these

@@ -224,6 +224,30 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
   return result;
 }
 
+/// The pre-pass profile of the analytical-memory level (null at the other
+/// levels) and the seconds it took into `*seconds`. With memo,
+/// cache-geometry-equal configs and repeated runs share one profile from
+/// the ProfileCache; the fetch time, hit or build, is the run's pre-pass
+/// cost.
+std::shared_ptr<const MemProfile> FetchProfile(const Application& app,
+                                               const GpuConfig& cfg,
+                                               SimLevel level, bool memo,
+                                               double* seconds) {
+  *seconds = 0;
+  if (SelectionFor(level).mem != MemModelKind::kAnalytical) return nullptr;
+  if (memo) {
+    ProfileCache::Fetch fetch = ProfileCache::Global().GetOrBuild(app, cfg);
+    *seconds = fetch.seconds;
+    return std::move(fetch.profile);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  auto profile = std::make_shared<const MemProfile>(
+      BuildMemProfile(app, cfg, /*memoize=*/false));
+  const auto t1 = std::chrono::steady_clock::now();
+  *seconds = std::chrono::duration<double>(t1 - t0).count();
+  return profile;
+}
+
 /// Sorts a failure into `outcome`; returns false when a retry is
 /// pointless (a spent wall budget).
 bool Classify(const std::exception& e, AppOutcome* outcome) {
@@ -243,26 +267,11 @@ bool Classify(const std::exception& e, AppOutcome* outcome) {
 Simulator::Simulator(const Application& app, const GpuConfig& cfg,
                      SimLevel level, const RunOptions& options)
     : app_(app), cfg_(cfg), level_(level), options_(options) {
-  if (SelectionFor(level).mem != MemModelKind::kAnalytical) return;
-  if (options_.memo) {
-    // Cache-geometry-equal configs and repeated constructions share one
-    // profile; the fetch time (hit or build) is the run's pre-pass cost.
-    const ProfileCache::Fetch fetch =
-        ProfileCache::Global().GetOrBuild(app, cfg_);
-    profile_ = fetch.profile;
-    prepass_seconds_ = fetch.seconds;
-  } else {
-    const auto t0 = std::chrono::steady_clock::now();
-    profile_ = std::make_shared<const MemProfile>(
-        BuildMemProfile(app, cfg_, /*memoize=*/false));
-    const auto t1 = std::chrono::steady_clock::now();
-    prepass_seconds_ = std::chrono::duration<double>(t1 - t0).count();
-  }
+  profile_ = FetchProfile(app, cfg_, level, options_.memo, &prepass_seconds_);
 }
 
 SimResult Simulator::Run() {
   SimResult result = RunKernels(app_, cfg_, level_, profile_.get(), options_);
-  // The pre-pass is part of Swift-Sim-Memory's cost; charge it to the run.
   result.wall_seconds += prepass_seconds_;
   return result;
 }
@@ -282,9 +291,12 @@ RunOutcome Run(const RunSpec& spec) {
         faulted = InjectTraceFaults(spec.app, *plan);
         app = &faulted;
       }
-      Simulator sim(*app, spec.cfg, spec.level, spec.options);
-      out.prepass_s = sim.prepass_seconds();
-      out.result = sim.Run();
+      const std::shared_ptr<const MemProfile> profile = FetchProfile(
+          *app, spec.cfg, spec.level, spec.options.memo, &out.prepass_s);
+      out.result = RunKernels(*app, spec.cfg, spec.level, profile.get(),
+                              spec.options);
+      // The pre-pass is part of Swift-Sim-Memory's cost; charge it to the run.
+      out.result.wall_seconds += out.prepass_s;
       out.outcome.status = out.result.degrades.empty() ? AppStatus::kOk
                                                        : AppStatus::kDegraded;
       out.error = nullptr;

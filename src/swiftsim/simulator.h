@@ -101,30 +101,24 @@ RunOutcome Run(const RunSpec& spec);
 SimResult RunSimulation(const Application& app, const GpuConfig& cfg,
                         SimLevel level, const RunOptions& options = {});
 
-/// Reusable simulator handle: the constructor runs the pre-pass once, and
-/// each Run() simulates on fresh models. With options.memo the profile
-/// comes from the global ProfileCache and launches are replayed from the
-/// global MemoCache (DESIGN.md §10). Only the fault plan's runtime axes
-/// apply here; Run(RunSpec) applies its trace axes and `retries`.
+/// Simulator handle: the constructor fetches the pre-pass profile as
+/// Run(RunSpec) does, and each Run() runs the per-kernel loop on it,
+/// rethrowing failures. Only the fault plan's runtime axes apply here. Its
+/// one caller is perfbench's oneshot workload, which times the pre-pass
+/// apart from the run; everything else goes through Run(RunSpec).
 class Simulator {
  public:
   Simulator(const Application& app, const GpuConfig& cfg, SimLevel level,
             const RunOptions& options = {});
 
-  /// Runs the per-kernel loop over the application; rethrows failures.
   SimResult Run();
-
-  SimLevel level() const { return level_; }
-  const MemProfile* profile() const { return profile_.get(); }
-  double prepass_seconds() const { return prepass_seconds_; }
 
  private:
   const Application& app_;
   GpuConfig cfg_;
   SimLevel level_;
   RunOptions options_;
-  // Analytical memory mode only; shared when the ProfileCache served it.
-  std::shared_ptr<const MemProfile> profile_;
+  std::shared_ptr<const MemProfile> profile_;  // analytical memory level only
   double prepass_seconds_ = 0;
 };
 

@@ -9,8 +9,6 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <set>
-#include <sstream>
 #include <thread>
 
 #include "common/json.h"
@@ -24,6 +22,9 @@ namespace {
 // Current supervised worker pid for the daemon's signal forwarder (a
 // handler may only touch async-signal-safe state).
 std::atomic<long> g_worker_pid{-1};
+
+// Seeds the backoff jitter, so a test can pin the restart schedule.
+constexpr std::uint64_t kBackoffSeed = 0x5eed;
 
 /// Responses come from EncodeResponse and are always well-formed JSON; a
 /// parse failure just means "no usable id".
@@ -91,57 +92,11 @@ bool WriteAllFd(int fd, const std::string& data) {
 Supervisor::Supervisor(SupervisorOptions opt, WorkerMain worker_main)
     : opt_(std::move(opt)), worker_main_(std::move(worker_main)) {}
 
-void Supervisor::OpenJournal() {
-  if (opt_.job_journal.empty()) return;
-  journal_ = std::make_unique<Journal>();
-  JournalRecovery rec;
-  try {
-    journal_->Open(opt_.job_journal, /*truncate=*/false, Journal::Options{},
-                   &rec);
-  } catch (const SimError& e) {
-    // Not a journal (or unreadable): quarantine and start fresh — the
-    // journal is advisory, losing it never blocks serving.
-    QuarantineCorruptFile(opt_.job_journal, e.what());
-    journal_ = std::make_unique<Journal>();
-    journal_->Open(opt_.job_journal, /*truncate=*/true, Journal::Options{});
-    return;
-  }
-  // Orphan disposition: A-records without a matching D are jobs a dead
-  // supervisor process had in flight. Their clients went down with that
-  // process's transport, so replaying them would answer nobody — count
-  // and log them, then rotate the segment empty.
-  std::set<std::uint64_t> open;
-  for (const std::string& r : rec.records) {
-    std::istringstream in(r);
-    std::string tag;
-    std::uint64_t seq = 0;
-    in >> tag >> seq;
-    if (in.fail()) continue;
-    if (tag == "A") {
-      open.insert(seq);
-    } else if (tag == "D") {
-      open.erase(seq);
-    }  // "R" marks a consumed crash retry; no state to rebuild here
-  }
-  stats_.orphaned = open.size();
-  if (!rec.records.empty()) {
-    if (!open.empty()) {
-      SS_LOG(kWarning) << "supervisor: dropping " << open.size()
-                       << " orphaned in-flight jobs journaled by a dead "
-                          "supervisor in "
-                       << opt_.job_journal;
-    }
-    journal_->Rotate({});
-  }
-}
-
 void Supervisor::OnClientLine(const std::string& line) {
   std::lock_guard<std::mutex> lock(mu_);
   Pending p;
-  p.seq = next_seq_++;
   p.id = RequestLineId(line, opt_.worker.limits);
   p.line = line;
-  if (journal_) journal_->Append("A " + std::to_string(p.seq) + " " + line);
   pending_.push_back(std::move(p));
   SendToWorkerLocked(&pending_.back());
 }
@@ -166,7 +121,6 @@ void Supervisor::SpawnWorker() {
     wopt.sup_restarts = stats_.restarts;
     wopt.sup_jobs_replayed = stats_.jobs_replayed;
     wopt.sup_retries = stats_.retries;
-    wopt.sup_journal_bytes = journal_ ? journal_->bytes() : 0;
   }
   const pid_t pid = ::fork();
   SS_CHECK(pid >= 0, "supervisor: fork failed");
@@ -232,10 +186,8 @@ void Supervisor::HandleCrash(
           std::to_string(opt_.max_job_retries) + " exhausted";
       r.status = "worker_crashed";
       write_line(EncodeResponse(r));
-      if (journal_) journal_->Append("D " + std::to_string(p.seq));
       ++stats_.crashed_jobs;
     } else {
-      if (journal_) journal_->Append("R " + std::to_string(p.seq));
       ++stats_.retries;
       keep.push_back(std::move(p));
     }
@@ -255,7 +207,6 @@ void Supervisor::FailPending(
     r.error_message = why;
     r.status = "worker_crashed";
     write_line(EncodeResponse(r));
-    if (journal_) journal_->Append("D " + std::to_string(p.seq));
     ++stats_.crashed_jobs;
   }
   pending_.clear();
@@ -265,7 +216,6 @@ int Supervisor::Serve(
     const std::function<bool(std::string*)>& read_line,
     const std::function<void(const std::string&)>& write_line) {
   std::signal(SIGPIPE, SIG_IGN);  // worker death mid-write must not kill us
-  OpenJournal();
 
   // The reader lives until the client closes its end of the transport;
   // lines arriving between incarnations park in pending_ for replay.
@@ -281,7 +231,7 @@ int Supervisor::Serve(
   });
 
   int exit_code = 0;
-  Rng rng(opt_.backoff_seed);
+  Rng rng(kBackoffSeed);
   for (;;) {
     SpawnWorker();
     int out_fd = -1;
@@ -298,7 +248,6 @@ int Supervisor::Serve(
         std::lock_guard<std::mutex> lock(mu_);
         for (auto it = pending_.begin(); it != pending_.end(); ++it) {
           if (it->sent_incarnation == incarnation_ && it->id == id) {
-            if (journal_) journal_->Append("D " + std::to_string(it->seq));
             pending_.erase(it);
             break;
           }
@@ -363,10 +312,6 @@ int Supervisor::Serve(
     const double ms = base * (0.5 + 0.5 * rng.NextDouble());
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.journal_bytes = journal_ ? journal_->bytes() : 0;
-  }
   // The reader returns when the client closes the transport — for the
   // stdin daemon that is the session's natural end.
   reader.join();
@@ -375,9 +320,7 @@ int Supervisor::Serve(
 
 SupervisorStats Supervisor::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  SupervisorStats s = stats_;
-  if (journal_) s.journal_bytes = journal_->bytes();
-  return s;
+  return stats_;
 }
 
 }  // namespace swiftsim::service

@@ -3,7 +3,7 @@
 //
 // The supervisor owns the client transport (one NDJSON line in, one line
 // out) and runs the actual SimulationService in a forked worker process
-// connected by two pipes. Every client line is journaled and tracked as a
+// connected by two pipes. Every client line is kept in memory as a
 // pending entry until its response comes back; when the worker dies —
 // SIGKILL, OOM, a crash bug — the supervisor:
 //
@@ -16,6 +16,9 @@
 //      (a job that keeps killing workers is the likely murder weapon);
 //   3. answers jobs whose budget is exhausted with the typed
 //      `worker_crashed` error instead of silence.
+//
+// Nothing outlives the supervisor process: when it dies, its clients see
+// their transport close, and no job of theirs is replayed.
 //
 // State machine per incarnation:  spawn → replay pending → pump
 // (client lines forwarded as they arrive, worker responses matched to
@@ -33,12 +36,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/journal.h"
 #include "swiftsim/service.h"
 
 namespace swiftsim::service {
@@ -51,15 +52,9 @@ struct SupervisorOptions {
   /// job may survive before it is answered `worker_crashed`.
   unsigned max_job_retries = 1;
   /// Jittered exponential backoff between restarts:
-  /// min(initial * 2^k, max) * uniform[0.5, 1.0). Deterministic per seed.
+  /// min(initial * 2^k, max) * uniform[0.5, 1.0), from a fixed seed.
   double backoff_initial_ms = 50;
   double backoff_max_ms = 2000;
-  std::uint64_t backoff_seed = 0x5eed;
-  /// Write-ahead journal of in-flight jobs ("" = in-memory tracking
-  /// only). Entries found at startup are orphans of a dead supervisor:
-  /// their clients are gone, so they are counted, logged and rotated
-  /// away — never replayed to a client that cannot hear the answer.
-  std::string job_journal;
   /// Current worker pid, rewritten on every spawn ("" = none). Chaos
   /// tests and the supervise smoke read it to aim their SIGKILL.
   std::string worker_pid_file;
@@ -72,8 +67,6 @@ struct SupervisorStats {
   std::uint64_t jobs_replayed = 0;  // pending lines resent to a new worker
   std::uint64_t retries = 0;        // replays that consumed crash budget
   std::uint64_t crashed_jobs = 0;   // answered with `worker_crashed`
-  std::uint64_t orphaned = 0;       // journal entries from a dead supervisor
-  std::uint64_t journal_bytes = 0;
 };
 
 class Supervisor {
@@ -98,7 +91,6 @@ class Supervisor {
 
  private:
   struct Pending {
-    std::uint64_t seq = 0;
     std::string id;          // as the worker will echo it
     std::string line;        // raw client line, replayed verbatim
     unsigned crash_retries = 0;
@@ -106,7 +98,6 @@ class Supervisor {
     std::uint64_t sent_incarnation = 0;
   };
 
-  void OpenJournal();
   void OnClientLine(const std::string& line);
   bool SendToWorkerLocked(Pending* p);
   void SpawnWorker();
@@ -118,11 +109,9 @@ class Supervisor {
 
   SupervisorOptions opt_;
   WorkerMain worker_main_;
-  std::unique_ptr<Journal> journal_;
 
   mutable std::mutex mu_;
   std::vector<Pending> pending_;
-  std::uint64_t next_seq_ = 1;
   std::uint64_t incarnation_ = 0;
   bool client_eof_ = false;
   int worker_in_fd_ = -1;   // supervisor → worker requests

@@ -325,8 +325,7 @@ TEST(Chaos, DegradeOnHangFallsBackAnalytically) {
   options.model.watchdog.dump_dir = testing::TempDir() + "chaos_dumps";
   options.fault_plan = &plan;
   const Application app = SmallApp("BFS");
-  Simulator sim(app, cfg, SimLevel::kDetailed, options);
-  const SimResult r = sim.Run();
+  const SimResult r = RunSimulation(app, cfg, SimLevel::kDetailed, options);
   ASSERT_EQ(r.kernels.size(), app.kernels.size());
   ASSERT_GE(r.degrades.size(), 1u);
   for (const auto& ev : r.degrades) {
@@ -352,8 +351,8 @@ TEST(Chaos, RetryExhaustionRethrowsWhenDegradeOff) {
   options.degrade.max_retries = 1;  // deterministic fault recurs on retry
   options.fault_plan = &plan;
   const Application app = SmallApp("SM");
-  Simulator sim(app, cfg, SimLevel::kDetailed, options);
-  EXPECT_THROW(sim.Run(), SimHangError);
+  EXPECT_THROW(RunSimulation(app, cfg, SimLevel::kDetailed, options),
+               SimHangError);
 }
 
 TEST(Chaos, BatchIsolationCompletesAroundPoisonedApp) {

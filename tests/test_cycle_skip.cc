@@ -318,8 +318,7 @@ SimResult RunGoldenRow(const GoldenRow& row, const Application& app) {
       row.variant == GoldenVariant::kFaultRetry) {
     options.fault_plan = &plan;
   }
-  Simulator sim(app, cfg, row.level, options);
-  return sim.Run();
+  return RunSimulation(app, cfg, row.level, options);
 }
 
 /// The batch row: every result's digest plus its outcome's status and

@@ -181,15 +181,17 @@ TEST(Pareto, AreaProxyRanksResourceGrowth) {
 }
 
 // ---------------------------------------------------------------------------
-// Screen-rung dedup soundness: the analytical memory model must be
-// invariant under the knobs ScreenSignature normalizes away.
+// Screen-rung dedup: SM's analytical-memory estimate does not move with
+// the knobs ScreenSignature normalizes away. Only the replacement
+// policies are unread at that level; the scheduler policy is read (GEMM
+// moves with it), and SM happens not to.
 
 TEST(DseEngine, AnalyticalScreenIgnoresCycleAccurateOnlyKnobs) {
   ClearGlobalCaches();
   const Application app = SmallApp("SM");
   const GpuConfig base = SmallGpu();
   const Cycle ref =
-      Simulator(app, base, SimLevel::kSwiftSimMemory).Run().total_cycles;
+      RunSimulation(app, base, SimLevel::kSwiftSimMemory).total_cycles;
 
   GpuConfig variant = base;
   variant.sched_policy = SchedPolicy::kLrr;
@@ -197,13 +199,13 @@ TEST(DseEngine, AnalyticalScreenIgnoresCycleAccurateOnlyKnobs) {
   variant.l2.replacement = ReplacementPolicy::kRandom;
   ASSERT_NE(variant.CanonicalHash(), base.CanonicalHash());
   EXPECT_EQ(
-      Simulator(app, variant, SimLevel::kSwiftSimMemory).Run().total_cycles,
+      RunSimulation(app, variant, SimLevel::kSwiftSimMemory).total_cycles,
       ref);
   // And a knob the screen does see moves the estimate.
   GpuConfig fewer_sms = base;
   fewer_sms.num_sms = 2;
   EXPECT_NE(
-      Simulator(app, fewer_sms, SimLevel::kSwiftSimMemory).Run().total_cycles,
+      RunSimulation(app, fewer_sms, SimLevel::kSwiftSimMemory).total_cycles,
       ref);
 }
 

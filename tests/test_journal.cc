@@ -1,6 +1,6 @@
 // Write-ahead journal gates (DESIGN.md §16): CRC framing, append/recover
-// round-trips, torn-tail truncation, corrupt-head rejection, segment
-// rotation, and the quarantine helper for corrupt advisory caches.
+// round-trips, torn-tail truncation, corrupt-head rejection, and the
+// quarantine helper for corrupt advisory caches.
 #include "common/journal.h"
 
 #include <gtest/gtest.h>
@@ -66,7 +66,7 @@ TEST(Journal, AppendRecoverRoundTrip) {
   };
   {
     Journal j;
-    j.Open(path, /*truncate=*/true, {});
+    j.Open(path, /*truncate=*/true);
     for (const std::string& p : payloads) j.Append(p);
     EXPECT_EQ(j.appended(), payloads.size());
     EXPECT_EQ(j.bytes(), FileSize(path));
@@ -82,14 +82,14 @@ TEST(Journal, ReopenAppendsAfterRecoveredPrefix) {
   const std::string path = TempPath("journal_reopen.journal");
   {
     Journal j;
-    j.Open(path, /*truncate=*/true, {});
+    j.Open(path, /*truncate=*/true);
     j.Append("one");
     j.Append("two");
   }
   {
     JournalRecovery rec;
     Journal j;
-    j.Open(path, /*truncate=*/false, {}, &rec);
+    j.Open(path, /*truncate=*/false, &rec);
     ASSERT_EQ(rec.records.size(), 2u);
     j.Append("three");
   }
@@ -102,7 +102,7 @@ TEST(Journal, TornTailIsTruncatedNotFatal) {
   const std::string path = TempPath("journal_torn.journal");
   {
     Journal j;
-    j.Open(path, /*truncate=*/true, {});
+    j.Open(path, /*truncate=*/true);
     j.Append("alpha");
     j.Append("beta");
     j.Append("gamma-gets-torn");
@@ -119,7 +119,7 @@ TEST(Journal, TornTailIsTruncatedNotFatal) {
   // from the valid prefix.
   JournalRecovery rec;
   Journal j;
-  j.Open(path, /*truncate=*/false, {}, &rec);
+  j.Open(path, /*truncate=*/false, &rec);
   EXPECT_EQ(rec.records, peek.records);
   EXPECT_EQ(FileSize(path), rec.valid_bytes);
   j.Append("delta");
@@ -133,7 +133,7 @@ TEST(Journal, CorruptMidRecordTruncatesFromTheTear) {
   std::uint64_t first_two;
   {
     Journal j;
-    j.Open(path, /*truncate=*/true, {});
+    j.Open(path, /*truncate=*/true);
     j.Append("aaaa");
     j.Append("bbbb");
     first_two = j.bytes();
@@ -156,10 +156,10 @@ TEST(Journal, CorruptHeadRaisesInsteadOfEmptying) {
   WriteRaw(path, "definitely not a journal file\n");
   EXPECT_THROW(ReadJournal(path), SimError);
   Journal j;
-  EXPECT_THROW(j.Open(path, /*truncate=*/false, {}), SimError);
+  EXPECT_THROW(j.Open(path, /*truncate=*/false), SimError);
   // Truncating open is allowed to pave over it — that is an explicit
   // fresh-segment request, not silent recovery.
-  j.Open(path, /*truncate=*/true, {});
+  j.Open(path, /*truncate=*/true);
   j.Append("fresh");
   j.Close();
   EXPECT_EQ(ReadJournal(path).records, (std::vector<std::string>{"fresh"}));
@@ -170,31 +170,11 @@ TEST(Journal, MissingFileStartsEmptyAndReadThrows) {
   EXPECT_THROW(ReadJournal(path), SimError);
   Journal j;
   JournalRecovery rec;
-  j.Open(path, /*truncate=*/false, {}, &rec);
+  j.Open(path, /*truncate=*/false, &rec);
   EXPECT_TRUE(rec.records.empty());
   j.Append("born");
   j.Close();
   EXPECT_EQ(ReadJournal(path).records, (std::vector<std::string>{"born"}));
-}
-
-TEST(Journal, RotationCompactsAtomically) {
-  const std::string path = TempPath("journal_rotate.journal");
-  Journal::Options opt;
-  opt.rotate_bytes = 64;
-  Journal j;
-  j.Open(path, /*truncate=*/true, opt);
-  for (int i = 0; i < 8; ++i) j.Append("record-" + std::to_string(i));
-  EXPECT_TRUE(j.NeedsRotation());
-
-  j.Rotate({"survivor-1", "survivor-2"});
-  EXPECT_EQ(j.rotations(), 1u);
-  j.Append("post-rotate");
-  j.Close();
-
-  const JournalRecovery rec = ReadJournal(path);
-  EXPECT_EQ(rec.records, (std::vector<std::string>{
-                             "survivor-1", "survivor-2", "post-rotate"}));
-  EXPECT_EQ(rec.truncated_bytes, 0u);
 }
 
 TEST(Journal, QuarantineMovesFileAside) {

@@ -17,7 +17,6 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <regex>
@@ -26,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/journal.h"
 #include "common/json.h"
 #include "common/status.h"
 #include "swiftsim/memo_cache.h"
@@ -677,7 +675,7 @@ struct SessionResult {
 
 /// Feeds `lines` through Serve's client transport and collects the
 /// responses. The reader thread inside Serve pulls them one by one, so
-/// this exercises the real journaling/forwarding path.
+/// this exercises the real pending/forwarding path.
 SessionResult RunSession(service::SupervisorOptions opt,
                          service::Supervisor::WorkerMain worker,
                          const std::vector<std::string>& lines) {
@@ -840,63 +838,6 @@ TEST(Supervisor, RestartBudgetExhaustionFailsPendingAndExitsNonZero) {
   EXPECT_EQ(r.stats.restarts, 2u);  // the 2nd crash breached the budget
   ASSERT_EQ(r.replies.size(), 1u);
   EXPECT_EQ(ReplyError(r.replies[0]), "worker_crashed");
-}
-
-TEST(Supervisor, JournalOrphansAreCountedAndRotatedAway) {
-  const std::string path =
-      ::testing::TempDir() + "/supervisor_orphans.journal";
-  std::filesystem::remove(path);
-  {
-    // A dead supervisor's journal: job 1 answered, jobs 2 and 3 in flight.
-    Journal j;
-    j.Open(path, /*truncate=*/true, {});
-    j.Append(R"(A 1 {"op":"ping","id":"old1"})");
-    j.Append("D 1");
-    j.Append(R"(A 2 {"op":"ping","id":"old2"})");
-    j.Append(R"(A 3 {"op":"ping","id":"old3"})");
-  }
-  service::SupervisorOptions opt;
-  opt.job_journal = path;
-  const auto r = RunSession(
-      opt, [](int in, int out, const ServiceOptions&) {
-        return EchoWorker(in, out);
-      },
-      {R"({"op":"ping","id":"fresh"})"});
-  EXPECT_EQ(r.exit_code, 0);
-  // Orphans are never replayed — their clients died with the previous
-  // supervisor. Only the fresh request is answered.
-  ASSERT_EQ(r.replies.size(), 1u);
-  EXPECT_TRUE(ReplyOk(r.replies[0]));
-  EXPECT_EQ(r.stats.orphaned, 2u);
-  // The rotated journal no longer carries the orphan entries.
-  const JournalRecovery rec = ReadJournal(path);
-  for (const std::string& record : rec.records) {
-    EXPECT_EQ(record.find("old"), std::string::npos) << record;
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Supervisor, CorruptJobJournalIsQuarantinedNotFatal) {
-  const std::string path =
-      ::testing::TempDir() + "/supervisor_corrupt.journal";
-  std::filesystem::remove(path + ".corrupt");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "this was never a journal";
-  }
-  service::SupervisorOptions opt;
-  opt.job_journal = path;
-  const auto r = RunSession(
-      opt, [](int in, int out, const ServiceOptions&) {
-        return EchoWorker(in, out);
-      },
-      {R"({"op":"ping","id":"q"})"});
-  EXPECT_EQ(r.exit_code, 0);
-  ASSERT_EQ(r.replies.size(), 1u);
-  EXPECT_TRUE(ReplyOk(r.replies[0]));
-  EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".corrupt");
 }
 
 }  // namespace

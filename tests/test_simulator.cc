@@ -40,18 +40,15 @@ TEST(Simulator, AllLevelsRunAndLabelResults) {
 TEST(Simulator, ReusableHandleRunsRepeatably) {
   const GpuConfig cfg = SmallGpu();
   const Application app = SmallApp("SM");
-  Simulator sim(app, cfg, SimLevel::kSwiftSimMemory);
-  const SimResult a = sim.Run();
-  const SimResult b = sim.Run();
+  const SimResult a = RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
+  const SimResult b = RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
   EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_NE(sim.profile(), nullptr);  // pre-pass ran once
 }
 
 TEST(Simulator, NonAnalyticalLevelsSkipPrepass) {
   const GpuConfig cfg = SmallGpu();
   const Application app = SmallApp("SM");
-  Simulator sim(app, cfg, SimLevel::kDetailed);
-  EXPECT_EQ(sim.profile(), nullptr);
+  EXPECT_EQ(swiftsim::Run({app, cfg, SimLevel::kDetailed}).prepass_s, 0.0);
 }
 
 TEST(ParallelRunner, AppBatchMatchesSerialResults) {

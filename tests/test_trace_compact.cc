@@ -140,9 +140,10 @@ TEST(TraceCompact, MemoReplayIdentical) {
   // same application must replay to exactly the fresh run's cycles.
   const GpuConfig cfg = TestConfig();
   const Application app = BuildWorkload("SSSP", TestScale());
-  Simulator sim(app, cfg, SimLevel::kSwiftSimMemory);
-  const Cycle fresh = sim.Run().total_cycles;
-  const SimResult replayed = sim.Run();
+  const Cycle fresh =
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory).total_cycles;
+  const SimResult replayed =
+      RunSimulation(app, cfg, SimLevel::kSwiftSimMemory);
   EXPECT_EQ(replayed.total_cycles, fresh);
   const auto hits = replayed.metrics.find("memo.hits");
   ASSERT_NE(hits, replayed.metrics.end());

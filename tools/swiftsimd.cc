@@ -89,7 +89,6 @@ Crash recovery (DESIGN.md §16; stdin/stdout transport only):
   --max-restarts N      worker restart budget (default 5)
   --job-retries N       crash-retry budget per in-flight job (default 1)
   --restart-backoff MS  initial backoff before a restart (default 50)
-  --job-journal PATH    write-ahead journal of in-flight jobs
   --worker-pid-file P   current worker pid, rewritten on each spawn
   --help                this text
 
@@ -146,7 +145,6 @@ bool ParseFlags(int argc, char** argv, Flags* out) {
       {"--max-restarts", &sup.max_restarts},
       {"--job-retries", &sup.max_job_retries},
       {"--restart-backoff", &sup.backoff_initial_ms},
-      {"--job-journal", &sup.job_journal},
       {"--worker-pid-file", &sup.worker_pid_file},
   };
   for (int i = 1; i < argc; ++i) {
