@@ -112,8 +112,7 @@ BenchOptions ParseOptions(int argc, char** argv, double default_scale,
           }
         }}},
       {kWatchdog, PathFlag("--dump-dir", &opt.run.model.watchdog.dump_dir)},
-      {kDegrade,
-       Switch("--degrade-on-hang", &opt.run.degrade.on_hang, true)},
+      {kDegrade, Switch("--degrade-on-hang", &opt.run.degrade_on_hang, true)},
       {kFaultPlan,
        {"--fault-plan", true,
         [&opt](const std::string& v) {

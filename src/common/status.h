@@ -118,6 +118,14 @@ class ScopedSimContext {
     }                                                              \
   } while (0)
 
+/// Throws SimError with message `msg` alone if `cond` is false: for checks
+/// on user input (config and plan files, sweep specs, daemon requests),
+/// whose errors name the field, not a source line. Always evaluated.
+#define SS_REQUIRE(cond, msg)                     \
+  do {                                            \
+    if (!(cond)) throw ::swiftsim::SimError(msg); \
+  } while (0)
+
 /// Internal invariant; throws so unit tests can exercise failure paths.
 #define SS_ASSERT(cond)                                            \
   do {                                                             \

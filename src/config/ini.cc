@@ -36,19 +36,19 @@ IniFile IniFile::ParseString(std::string_view text) {
       continue;
     }
     if (line.front() == '[') {
-      SS_CHECK(line.back() == ']',
-               "unterminated section header at line " + std::to_string(line_no));
+      SS_REQUIRE(line.back() == ']', "unterminated section header at line " +
+                                         std::to_string(line_no));
       section = std::string(Trim(line.substr(1, line.size() - 2)));
-      SS_CHECK(!section.empty(),
-               "empty section name at line " + std::to_string(line_no));
+      SS_REQUIRE(!section.empty(),
+                 "empty section name at line " + std::to_string(line_no));
       continue;
     }
     const std::size_t eq = line.find('=');
-    SS_CHECK(eq != std::string_view::npos,
-             "expected 'key = value' at line " + std::to_string(line_no));
+    SS_REQUIRE(eq != std::string_view::npos,
+               "expected 'key = value' at line " + std::to_string(line_no));
     std::string key(Trim(line.substr(0, eq)));
     std::string value(Trim(line.substr(eq + 1)));
-    SS_CHECK(!key.empty(), "empty key at line " + std::to_string(line_no));
+    SS_REQUIRE(!key.empty(), "empty key at line " + std::to_string(line_no));
     if (!section.empty()) key = section + "." + key;
     ini.values_[key] = value;
     if (pos > text.size()) break;
@@ -58,7 +58,7 @@ IniFile IniFile::ParseString(std::string_view text) {
 
 IniFile IniFile::ParseFile(const std::string& path) {
   std::ifstream in(path);
-  SS_CHECK(in.good(), "cannot open config file '" + path + "'");
+  SS_REQUIRE(in.good(), "cannot open config file '" + path + "'");
   std::ostringstream os;
   os << in.rdbuf();
   return ParseString(os.str());
@@ -70,7 +70,7 @@ bool IniFile::Has(const std::string& key) const {
 
 std::string IniFile::GetString(const std::string& key) const {
   auto it = values_.find(key);
-  SS_CHECK(it != values_.end(), "missing config key '" + key + "'");
+  SS_REQUIRE(it != values_.end(), "missing config key '" + key + "'");
   return it->second;
 }
 

@@ -10,16 +10,17 @@ namespace swiftsim {
 
 void SweepSpec::AddAxis(const std::string& key,
                         std::vector<std::string> values) {
-  SS_CHECK(!key.empty(), "sweep axis needs a config key");
-  SS_CHECK(!values.empty(), "sweep axis '" + key + "' needs at least one value");
+  SS_REQUIRE(!key.empty(), "sweep axis needs a config key");
+  SS_REQUIRE(!values.empty(),
+             "sweep axis '" + key + "' needs at least one value");
   for (const auto& v : values) {
-    SS_CHECK(!v.empty(), "sweep axis '" + key + "' has an empty value");
+    SS_REQUIRE(!v.empty(), "sweep axis '" + key + "' has an empty value");
   }
   const auto pos = std::lower_bound(
       axes_.begin(), axes_.end(), key,
       [](const SweepAxis& a, const std::string& k) { return a.key < k; });
-  SS_CHECK(pos == axes_.end() || pos->key != key,
-           "duplicate sweep axis '" + key + "'");
+  SS_REQUIRE(pos == axes_.end() || pos->key != key,
+             "duplicate sweep axis '" + key + "'");
   axes_.insert(pos, SweepAxis{key, std::move(values)});
 }
 
@@ -31,8 +32,8 @@ SweepSpec SweepSpec::FromIni(const IniFile& ini) {
     const std::string cfg_key = key.substr(kPrefix.size());
     spec.AddAxis(cfg_key, Split(ini.GetString(key), ','));
   }
-  SS_CHECK(!spec.axes_.empty(),
-           "sweep spec declares no axes (expected sweep.axis.<key> entries)");
+  SS_REQUIRE(!spec.axes_.empty(),
+             "sweep spec declares no axes (expected sweep.axis.<key> entries)");
   return spec;
 }
 
@@ -49,13 +50,13 @@ std::size_t SweepSpec::NumPoints() const {
 
 SweepSpec::Expansion SweepSpec::Expand(const GpuConfig& base,
                                        bool skip_invalid) const {
-  SS_CHECK(!axes_.empty(), "cannot expand a sweep spec with no axes");
+  SS_REQUIRE(!axes_.empty(), "cannot expand a sweep spec with no axes");
   // Unknown axis keys would silently no-op through FromIni (it reads only
   // the keys it knows); reject them instead.
   const std::set<std::string>& known = GpuConfig::IniKeys();
   for (const auto& axis : axes_) {
-    SS_CHECK(known.count(axis.key) != 0,
-             "sweep axis '" + axis.key + "' is not a GpuConfig key");
+    SS_REQUIRE(known.count(axis.key) != 0,
+               "sweep axis '" + axis.key + "' is not a GpuConfig key");
   }
 
   Expansion out;

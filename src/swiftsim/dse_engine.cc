@@ -275,9 +275,11 @@ std::string SweepIdentity(const std::vector<Application>& apps,
   h.Mix(static_cast<std::uint64_t>(kScreenLevel));
   h.Mix(static_cast<std::uint64_t>(kRefineLevel));
   h.Mix(static_cast<std::uint64_t>(opt.final_level));
-  // A degraded kernel's cycles come from the analytical fallback.
-  h.Mix(opt.run.degrade.on_hang ? 1 : 0);
-  h.Mix(opt.run.degrade.max_retries);
+  // A degraded kernel's cycles come from the analytical fallback. The 0
+  // stands where the per-kernel retry count was mixed, so journals
+  // written before its removal keep their identity and resume.
+  h.Mix(opt.run.degrade_on_hang ? 1 : 0);
+  h.Mix(0);
   return h.Digest().ToHex();
 }
 

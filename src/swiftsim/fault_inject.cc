@@ -34,8 +34,8 @@ double PlanRoll(std::uint64_t seed, std::uint64_t site, std::uint64_t a,
 }
 
 void CheckProb(double p, const char* name) {
-  SS_CHECK(p >= 0 && p <= 1,
-           std::string("fault plan: ") + name + " must be in [0, 1]");
+  SS_REQUIRE(p >= 0 && p <= 1,
+             std::string("fault plan: ") + name + " must be in [0, 1]");
 }
 
 }  // namespace
@@ -47,14 +47,14 @@ void FaultPlan::Validate() const {
   CheckProb(storm_p, "storm_p");
   CheckProb(trace_truncate_p, "trace_truncate_p");
   CheckProb(trace_corrupt_p, "trace_corrupt_p");
-  SS_CHECK(resp_delay_p == 0 || resp_delay_cycles > 0,
-           "fault plan: resp_delay_p needs resp_delay_cycles > 0");
-  SS_CHECK(issue_stall_p == 0 || issue_stall_cycles > 0,
-           "fault plan: issue_stall_p needs issue_stall_cycles > 0");
-  SS_CHECK(storm_p == 0 || storm_cycles > 0,
-           "fault plan: storm_p needs storm_cycles > 0");
-  SS_CHECK(resp_drop_p == 0 || resp_max_drops == 0 || resp_retry_cycles > 0,
-           "fault plan: bounded resp_drop_p needs resp_retry_cycles > 0");
+  SS_REQUIRE(resp_delay_p == 0 || resp_delay_cycles > 0,
+             "fault plan: resp_delay_p needs resp_delay_cycles > 0");
+  SS_REQUIRE(issue_stall_p == 0 || issue_stall_cycles > 0,
+             "fault plan: issue_stall_p needs issue_stall_cycles > 0");
+  SS_REQUIRE(storm_p == 0 || storm_cycles > 0,
+             "fault plan: storm_p needs storm_cycles > 0");
+  SS_REQUIRE(resp_drop_p == 0 || resp_max_drops == 0 || resp_retry_cycles > 0,
+             "fault plan: bounded resp_drop_p needs resp_retry_cycles > 0");
 }
 
 FaultPlan FaultPlan::FromIni(const IniFile& ini) {
@@ -168,6 +168,11 @@ bool FaultInjector::StormActive(Cycle now) {
   if (plan_.storm_p <= 0) return false;
   const Cycle window = now / plan_.storm_cycles;
   return Roll(kSiteStorm, 0, window) < plan_.storm_p;
+}
+
+void FaultInjector::ClearCustody() {
+  for (auto& list : held_) list.clear();
+  held_count_.store(0, std::memory_order_release);
 }
 
 Cycle FaultInjector::NextDueAfter(Cycle now) const {

@@ -90,6 +90,10 @@ class FaultInjector : public FaultHooks {
   }
   Cycle NextDueAfter(Cycle now) const override;
 
+  /// Forgets every held response, for arming a fresh model after the one
+  /// they were held for is discarded. The telemetry counts are kept.
+  void ClearCustody();
+
   const FaultPlan& plan() const { return plan_; }
 
   // Telemetry (relaxed atomics; exact totals once the run has joined).

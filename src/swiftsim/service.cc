@@ -336,7 +336,7 @@ bool SimulationService::Submit(const JobRequest& job, Callback done,
   options.model.watchdog.stall_cycles = opt_.watchdog_cycles;
   options.model.watchdog.wall_seconds =
       job.timeout_sec >= 0 ? job.timeout_sec : opt_.default_timeout_sec;
-  options.degrade.on_hang = opt_.degrade_on_hang;
+  options.degrade_on_hang = opt_.degrade_on_hang;
 
   CoalesceKey key;
   key.trace_key = WorkloadBuildKey(job.workload, {job.scale, job.seed});

@@ -64,7 +64,7 @@ enum class ErrorCode {
   kQueueFull,        // admission control rejected the job
   kShuttingDown,     // submitted after shutdown began
   kSimTimeout,       // watchdog tripped (wall clock or stall window)
-  kSimFailed,        // simulation raised after exhausting retries
+  kSimFailed,        // simulation raised
   kWorkerCrashed,    // supervised worker died with the job in flight and
                      // the per-job crash-retry budget is exhausted (§16)
 };

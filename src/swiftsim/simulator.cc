@@ -37,23 +37,22 @@ struct MemoStats {
 };
 
 /// The one per-kernel loop. Each kernel is replayed from the MemoCache or
-/// simulated; a simulated kernel that throws is retried on a fresh model
-/// (degrade.max_retries) and then, with degrade.on_hang, finished at the
-/// analytical-memory level (DESIGN.md §11). Metrics fold across every
-/// model the run used. With memo the model is built at the first launch
-/// that misses, so a run whose every launch replays builds none and
-/// reports the cached fresh-model skeleton plus the replayed deltas
-/// (DESIGN.md §10). `profile` as in GpuModel's constructor.
+/// simulated; a simulated kernel that throws is, with degrade_on_hang,
+/// finished at the analytical-memory level (DESIGN.md §11), else the
+/// failure propagates. Metrics fold across every model the run used. With
+/// memo the model is built at the first launch that misses, so a run whose
+/// every launch replays builds none and reports the cached fresh-model
+/// skeleton plus the replayed deltas (DESIGN.md §10). `profile` as in
+/// GpuModel's constructor.
 SimResult RunKernels(const Application& app, const GpuConfig& cfg,
                      SimLevel level, const MemProfile* profile,
                      const RunOptions& opt) {
   const ModelSelection sel = SelectionFor(level);
   const FaultPlan* plan = opt.fault_plan;
   const bool armed = plan != nullptr && plan->AnyRuntime();
-  const bool resilient =
-      armed || opt.degrade.on_hang || opt.degrade.max_retries > 0;
+  const bool resilient = armed || opt.degrade_on_hang;
   // Replay is exact only at the analytical-memory level, and a replayed
-  // launch would dodge injection, retry and degrade.
+  // launch would dodge injection and degrade.
   MemoCache* memo =
       opt.memo && !resilient && sel.mem == MemModelKind::kAnalytical
           ? &MemoCache::Global()
@@ -63,7 +62,12 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
   if (armed) injector.emplace(*plan, cfg.num_sms);
   const auto make_model = [&] {
     auto m = std::make_unique<GpuModel>(cfg, sel, profile, opt.model);
-    if (injector) m->ArmFaults(&*injector);
+    if (injector) {
+      // Responses held for a discarded model are not this model's to
+      // deliver; the fault.* counters keep accumulating.
+      injector->ClearCustody();
+      m->ArmFaults(&*injector);
+    }
     return m;
   };
   // The first fold takes the snapshot as is, so a single-model run pays
@@ -126,48 +130,34 @@ SimResult RunKernels(const Application& app, const GpuConfig& cfg,
         memo->StoreSkeleton(key, before);
       }
     }
-    for (unsigned attempts = 0;; ++attempts) {
-      const std::uint64_t instrs_before = model->TotalIssuedInstrs();
-      try {
-        const Cycle cycles = model->RunKernel(*kernel);
-        result.kernels.push_back(
-            {name, cycles, model->TotalIssuedInstrs() - instrs_before});
-        clock = model->now();
-        break;
-      } catch (const SimError& e) {
-        if (!resilient) throw;
-        fold_metrics(*model);
-        if (attempts < opt.degrade.max_retries) {
-          // Bounded retry on a fresh model resumed at the kernel boundary;
-          // deterministic faults will recur, transient model-state damage
-          // will not.
-          model = make_model();
-          model->SyncClock(clock);
-          continue;
-        }
-        if (!opt.degrade.on_hang) throw;
-        // Graceful degradation: finish this kernel analytically (clean
-        // model, no injection — the point is a usable estimate), record
-        // the event, and resume on a fresh model after it.
-        Application one;
-        one.name = app.name;
-        one.kernels.push_back(kernel);
-        const MemProfile fallback_profile =
-            BuildMemProfile(one, cfg, opt.memo);
-        GpuModel ana(cfg, SelectionFor(SimLevel::kSwiftSimMemory),
-                     &fallback_profile, opt.model);
-        ana.SyncClock(clock);
-        const Cycle cycles = ana.RunKernel(*kernel);
-        result.kernels.push_back({name, cycles, ana.TotalIssuedInstrs()});
-        clock = ana.now();
-        fold_metrics(ana);
-        const auto* hang = dynamic_cast<const SimHangError*>(&e);
-        result.degrades.push_back(
-            {name, e.what(), hang != nullptr ? hang->dump_path() : ""});
-        model = make_model();
-        model->SyncClock(clock);
-        break;
-      }
+    const std::uint64_t instrs_before = model->TotalIssuedInstrs();
+    try {
+      const Cycle cycles = model->RunKernel(*kernel);
+      result.kernels.push_back(
+          {name, cycles, model->TotalIssuedInstrs() - instrs_before});
+      clock = model->now();
+    } catch (const SimError& e) {
+      if (!opt.degrade_on_hang) throw;
+      fold_metrics(*model);
+      // Graceful degradation: finish this kernel analytically (clean
+      // model, no injection — the point is a usable estimate), record the
+      // event, and resume on a fresh model after it.
+      Application one;
+      one.name = app.name;
+      one.kernels.push_back(kernel);
+      const MemProfile fallback_profile = BuildMemProfile(one, cfg, opt.memo);
+      GpuModel ana(cfg, SelectionFor(SimLevel::kSwiftSimMemory),
+                   &fallback_profile, opt.model);
+      ana.SyncClock(clock);
+      const Cycle cycles = ana.RunKernel(*kernel);
+      result.kernels.push_back({name, cycles, ana.TotalIssuedInstrs()});
+      clock = ana.now();
+      fold_metrics(ana);
+      const auto* hang = dynamic_cast<const SimHangError*>(&e);
+      result.degrades.push_back(
+          {name, e.what(), hang != nullptr ? hang->dump_path() : ""});
+      model = make_model();
+      model->SyncClock(clock);
     }
     if (memo != nullptr) {
       const KernelResult& kr = result.kernels.back();
@@ -248,18 +238,17 @@ std::shared_ptr<const MemProfile> FetchProfile(const Application& app,
   return profile;
 }
 
-/// Sorts a failure into `outcome`; returns false when a retry is
-/// pointless (a spent wall budget).
-bool Classify(const std::exception& e, AppOutcome* outcome) {
+/// Sorts a failure into `outcome`.
+void Classify(const std::exception& e, AppOutcome* outcome) {
   outcome->status = AppStatus::kFailed;
   outcome->error = e.what();
   const auto* hang = dynamic_cast<const SimHangError*>(&e);
-  if (hang == nullptr) return true;
+  if (hang == nullptr) return;
   outcome->hang = true;
   outcome->dump_path = hang->dump_path();
-  if (hang->kind() != SimHangError::Kind::kWallClock) return true;
-  outcome->status = AppStatus::kTimedOut;
-  return false;
+  if (hang->kind() == SimHangError::Kind::kWallClock) {
+    outcome->status = AppStatus::kTimedOut;
+  }
 }
 
 }  // namespace
@@ -279,39 +268,30 @@ SimResult Simulator::Run() {
 RunOutcome Run(const RunSpec& spec) {
   const FaultPlan* plan = spec.options.fault_plan;
   RunOutcome out;
-  for (unsigned attempt = 0;; ++attempt) {
-    out.outcome = AppOutcome{};
-    out.outcome.attempts = attempt + 1;
-    try {
-      // Trace-ingestion faults apply per attempt, inside the
-      // classification boundary: a corrupt trace fails here, typed.
-      const Application* app = &spec.app;
-      Application faulted;
-      if (plan != nullptr && plan->AnyTrace()) {
-        faulted = InjectTraceFaults(spec.app, *plan);
-        app = &faulted;
-      }
-      const std::shared_ptr<const MemProfile> profile = FetchProfile(
-          *app, spec.cfg, spec.level, spec.options.memo, &out.prepass_s);
-      out.result = RunKernels(*app, spec.cfg, spec.level, profile.get(),
-                              spec.options);
-      // The pre-pass is part of Swift-Sim-Memory's cost; charge it to the run.
-      out.result.wall_seconds += out.prepass_s;
-      out.outcome.status = out.result.degrades.empty() ? AppStatus::kOk
-                                                       : AppStatus::kDegraded;
-      out.error = nullptr;
-      return out;
-    } catch (const std::exception& e) {
-      out.error = std::current_exception();
-      if (!Classify(e, &out.outcome) || attempt >= spec.options.retries) {
-        break;
-      }
+  try {
+    // Trace-ingestion faults apply inside the classification boundary: a
+    // corrupt trace fails here, typed.
+    const Application* app = &spec.app;
+    Application faulted;
+    if (plan != nullptr && plan->AnyTrace()) {
+      faulted = InjectTraceFaults(spec.app, *plan);
+      app = &faulted;
     }
+    const std::shared_ptr<const MemProfile> profile = FetchProfile(
+        *app, spec.cfg, spec.level, spec.options.memo, &out.prepass_s);
+    out.result =
+        RunKernels(*app, spec.cfg, spec.level, profile.get(), spec.options);
+    // The pre-pass is part of Swift-Sim-Memory's cost; charge it to the run.
+    out.result.wall_seconds += out.prepass_s;
+    out.outcome.status = out.result.degrades.empty() ? AppStatus::kOk
+                                                     : AppStatus::kDegraded;
+  } catch (const std::exception& e) {
+    out.error = std::current_exception();
+    Classify(e, &out.outcome);
+    // Name the failed result so reports can attribute it.
+    out.result.app = spec.app.name;
+    out.result.simulator = ToString(spec.level);
   }
-  // Name the failed result so reports can attribute it.
-  out.result = SimResult{};
-  out.result.app = spec.app.name;
-  out.result.simulator = ToString(spec.level);
   return out;
 }
 

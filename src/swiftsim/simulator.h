@@ -31,7 +31,7 @@ enum class AppStatus {
   kOk,        // completed on the requested level
   kDegraded,  // completed, but one or more kernels fell back analytically
   kTimedOut,  // wall-clock watchdog budget expired
-  kFailed,    // any other failure after exhausting retries
+  kFailed,    // any other failure
 };
 
 const char* ToString(AppStatus status);
@@ -41,35 +41,25 @@ struct AppOutcome {
   bool hang = false;      // a SimHangError (watchdog or wedge) ended the run
   std::string error;      // what() of the final failure, "" when completed
   std::string dump_path;  // hang diagnostic dump, "" when none
-  unsigned attempts = 1;  // 1 = first try succeeded
-};
-
-/// Per-kernel recovery (DESIGN.md §11).
-struct DegradeSettings {
-  /// Re-run a kernel that hung or failed at the analytical-memory level
-  /// on a fresh model, record a DegradeEvent, and continue the app.
-  bool on_hang = false;
-  /// Fresh-model retries at the original level before degrading (or
-  /// failing, when on_hang is false).
-  unsigned max_retries = 0;
 };
 
 /// How a run is driven. The GpuConfig says what is simulated; nothing here
 /// changes the cycles of a run that completes, so none of it keys a cache.
+/// A run is deterministic, so a failure is final: nothing is retried.
 struct RunOptions {
-  /// Chaos scenario: trace axes are applied to the app on every attempt,
-  /// runtime axes are armed on the model. Must outlive the call.
+  /// Chaos scenario: trace axes are applied to the app, runtime axes are
+  /// armed on the model. Must outlive the call.
   const FaultPlan* fault_plan = nullptr;
-  /// Re-runs of the whole app after a failure. A spent wall budget is
-  /// never retried.
-  unsigned retries = 0;
   /// Cross-launch memoization (DESIGN.md §10): launch replay at the
   /// analytical-memory level and the pre-pass profile caches, all exact.
   /// Their caps belong to the caches' owner (MemoCache::SetLimits).
   bool memo = true;
   /// Cycle skipping and the watchdog, handed to every model.
   ModelSettings model;
-  DegradeSettings degrade;
+  /// Per-kernel recovery (DESIGN.md §11): a kernel that hangs or fails is
+  /// finished at the analytical-memory level on a clean model, recorded
+  /// as a DegradeEvent, and the app continues.
+  bool degrade_on_hang = false;
 };
 
 struct RunSpec {
@@ -83,7 +73,7 @@ struct RunOutcome {
   /// The run's result. A failed run keeps only its app and simulator names.
   SimResult result;
   AppOutcome outcome;
-  double prepass_s = 0;  // pre-pass or profile-cache fetch, last attempt
+  double prepass_s = 0;  // pre-pass or profile-cache fetch
   /// The final failure as thrown; null when the run completed.
   std::exception_ptr error;
 
@@ -91,9 +81,9 @@ struct RunOutcome {
   SimResult TakeOrThrow();
 };
 
-/// Runs one application: trace faults, pre-pass, the per-kernel loop and
-/// whole-app retry, with every failure classified into `outcome`. Throws
-/// nothing derived from std::exception.
+/// Runs one application: trace faults, pre-pass and the per-kernel loop,
+/// with a failure classified into `outcome`. Throws nothing derived from
+/// std::exception.
 RunOutcome Run(const RunSpec& spec);
 
 /// One-shot simulation of an application; rethrows a failure as thrown.

@@ -1,5 +1,6 @@
 # ctest driver of a refused-invocation row: runs CMD and passes when it
-# exits non-zero and its stderr matches EXPECT.
+# exits non-zero and its stderr matches EXPECT. The stderr is echoed, so a
+# row's FAIL_REGULAR_EXPRESSION can reject what the refusal says.
 #
 #   cmake "-DCMD=<program;arg;...>" "-DEXPECT=<regex>" -P check_refused.cmake
 execute_process(COMMAND ${CMD} RESULT_VARIABLE rc ERROR_VARIABLE err
@@ -10,3 +11,4 @@ endif()
 if(NOT err MATCHES "${EXPECT}")
   message(FATAL_ERROR "'${CMD}' exited ${rc} without '${EXPECT}':\n${err}")
 endif()
+message("${err}")

@@ -13,6 +13,7 @@
 
 #include <fstream>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "swiftsim/parallel.h"
 #include "swiftsim/service.h"
 #include "swiftsim/simulator.h"
+#include "workloads/patterns.h"
 #include "workloads/workload.h"
 
 namespace swiftsim {
@@ -321,7 +323,7 @@ TEST(Chaos, DegradeOnHangFallsBackAnalytically) {
   GpuConfig cfg = SmallGpu();
   RunOptions options = Backstops();
   options.model.cycle_skip = true;
-  options.degrade.on_hang = true;
+  options.degrade_on_hang = true;
   options.model.watchdog.dump_dir = testing::TempDir() + "chaos_dumps";
   options.fault_plan = &plan;
   const Application app = SmallApp("BFS");
@@ -339,6 +341,48 @@ TEST(Chaos, DegradeOnHangFallsBackAnalytically) {
   EXPECT_EQ(it->second, r.degrades.size());
 }
 
+/// An 8-CTA kernel of integer ALU work only: it issues no memory request.
+std::shared_ptr<KernelTrace> AluOnlyKernel() {
+  WarpTrace warp;
+  WarpEmitter e(&warp);
+  e.IntBlock(0x100, 64, {10, 11, 12, 13});
+  e.Exit(0x100 + 8 * 64);
+  KernelInfo info;
+  info.name = "alu_only";
+  info.id = 1;
+  info.num_ctas = 8;
+  CtaTrace cta;
+  cta.warps = {warp};
+  return std::make_shared<KernelTrace>(info, std::vector<CtaTrace>{cta});
+}
+
+TEST(Chaos, DegradeResumesWithEmptyFaultCustody) {
+  // A degrade discards the hung model and resumes on a fresh one armed
+  // with the same injector. The responses dropped forever for the old
+  // model must not follow: the ALU-only kernel after it has nothing in
+  // flight, so inherited custody could only wedge it.
+  FaultPlan plan;
+  plan.name = "drop_forever";
+  plan.resp_drop_p = 1.0;
+  plan.resp_max_drops = 0;
+  RunOptions options = Backstops();
+  options.memo = false;
+  options.degrade_on_hang = true;
+  options.fault_plan = &plan;
+  Application app = SmallApp("BFS");
+  app.kernels.resize(1);
+  ASSERT_EQ(app.kernels[0]->info().name, "bfs_level0");
+  app.kernels.push_back(AluOnlyKernel());
+  const SimResult r =
+      RunSimulation(app, SmallGpu(), SimLevel::kDetailed, options);
+  ASSERT_EQ(r.kernels.size(), 2u);
+  ASSERT_EQ(r.degrades.size(), 1u);
+  EXPECT_EQ(r.degrades[0].kernel, "bfs_level0");
+  EXPECT_EQ(r.kernels[1].instructions, app.kernels[1]->TotalInstrs());
+  // The drops counted on the discarded model are still reported.
+  EXPECT_GT(r.metrics.at("fault.responses_dropped"), 0u);
+}
+
 TEST(Chaos, RetryExhaustionRethrowsWhenDegradeOff) {
   FaultPlan plan;
   plan.name = "drop_forever";
@@ -347,8 +391,7 @@ TEST(Chaos, RetryExhaustionRethrowsWhenDegradeOff) {
   GpuConfig cfg = SmallGpu();
   RunOptions options = Backstops();
   options.model.cycle_skip = true;
-  options.degrade.on_hang = false;
-  options.degrade.max_retries = 1;  // deterministic fault recurs on retry
+  options.degrade_on_hang = false;
   options.fault_plan = &plan;
   const Application app = SmallApp("SM");
   EXPECT_THROW(RunSimulation(app, cfg, SimLevel::kDetailed, options),
@@ -360,8 +403,7 @@ TEST(Chaos, BatchIsolationCompletesAroundPoisonedApp) {
   const std::vector<Application> apps = {SmallApp("BFS"),
                                          Poisoned(SmallApp("SM")),
                                          SmallApp("PAGERANK")};
-  RunOptions options = Backstops();
-  options.retries = 1;
+  const RunOptions options = Backstops();
   const ParallelBatchResult batch =
       RunAppsParallel(apps, cfg, SimLevel::kSwiftSimMemory, 2, options);
   ASSERT_EQ(batch.results.size(), 3u);
@@ -370,7 +412,6 @@ TEST(Chaos, BatchIsolationCompletesAroundPoisonedApp) {
   EXPECT_EQ(batch.statuses[2].status, AppStatus::kOk);
   EXPECT_EQ(batch.statuses[1].status, AppStatus::kFailed);
   EXPECT_FALSE(batch.statuses[1].error.empty());
-  EXPECT_EQ(batch.statuses[1].attempts, 2u);  // 1 try + 1 retry
   // The healthy apps' results match their standalone runs.
   const SimResult solo = RunSimulation(apps[0], cfg, SimLevel::kSwiftSimMemory);
   EXPECT_EQ(batch.results[0].total_cycles, solo.total_cycles);
@@ -385,7 +426,7 @@ TEST(Chaos, OneClassifierAcrossSurfaces) {
     const char* label;
     const char* config_ini;
     double timeout_sec;  // per-app wall budget; 0 = none
-    bool degrade;        // degrade.on_hang
+    bool degrade;        // degrade_on_hang
     AppStatus status;    // pipeline and batch
     const char* wire;    // daemon response status
   };
@@ -407,7 +448,7 @@ TEST(Chaos, OneClassifierAcrossSurfaces) {
         GpuConfig::FromIni(IniFile::ParseString(c.config_ini), GpuConfig());
     RunOptions options;
     options.model.watchdog.wall_seconds = c.timeout_sec;
-    options.degrade.on_hang = c.degrade;
+    options.degrade_on_hang = c.degrade;
     const RunOutcome run = swiftsim::Run({app, cfg, job.level, options});
     EXPECT_EQ(run.outcome.status, c.status) << c.label;
     EXPECT_EQ(run.error == nullptr, c.status == AppStatus::kOk ||
@@ -482,7 +523,7 @@ TEST(Chaos, ArmedObserversStayBitIdentical) {
     RunOptions on;
     on.model.watchdog.stall_cycles = 100000000;
     on.model.watchdog.wall_seconds = 3600;
-    on.degrade.on_hang = true;
+    on.degrade_on_hang = true;
     ExpectSameRun(RunSimulation(app, cfg, level),
                   RunSimulation(app, cfg, level, on), ToString(level));
   }
@@ -510,22 +551,42 @@ TEST(Chaos, FaultPlanIniRoundTrip) {
   EXPECT_FALSE(plan.AnyTrace());
 }
 
+/// Runs `fn`, which must throw a SimError naming `field` and no source
+/// location: plan errors reach users through plan files and bench flags.
+template <typename Fn>
+void ExpectPlanRejected(Fn fn, const std::string& field) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected SimError naming " << field;
+  } catch (const SimError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_FALSE(std::regex_search(what, std::regex(R"(\.(cc|h):[0-9]+)")))
+        << what;
+  }
+}
+
 TEST(Chaos, FaultPlanValidateRejectsBadPlans) {
   FaultPlan out_of_range;
   out_of_range.resp_delay_p = 1.5;
   out_of_range.resp_delay_cycles = 4;
-  EXPECT_THROW(out_of_range.Validate(), SimError);
+  ExpectPlanRejected([&] { out_of_range.Validate(); }, "resp_delay_p");
 
   FaultPlan missing_span;
   missing_span.resp_delay_p = 0.5;  // no resp_delay_cycles
-  EXPECT_THROW(missing_span.Validate(), SimError);
+  ExpectPlanRejected([&] { missing_span.Validate(); }, "resp_delay_cycles");
 
   // A count past UINT_MAX is refused, not wrapped (to 2 drops here).
-  EXPECT_THROW(FaultPlan::FromIni(IniFile::ParseString(
-                   "[fault]\nresp_max_drops = 4294967298\n")),
-               SimError);
+  ExpectPlanRejected(
+      [] {
+        FaultPlan::FromIni(
+            IniFile::ParseString("[fault]\nresp_max_drops = 4294967298\n"));
+      },
+      "fault.resp_max_drops");
 
-  EXPECT_THROW(FaultPlan::FromFile("/nonexistent/fault_plan.ini"), SimError);
+  ExpectPlanRejected(
+      [] { FaultPlan::FromFile("/nonexistent/fault_plan.ini"); },
+      "/nonexistent/fault_plan.ini");
 }
 
 }  // namespace

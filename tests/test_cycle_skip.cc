@@ -161,7 +161,7 @@ TEST(CycleSkip, TightenedL2DrainBudgetStaysBitIdentical) {
 // every metric name and value, driver.* included — as recorded by the
 // full-scan driver the sets replaced. The rows after the 96-slot ones pin
 // the run modes layered over that driver: memo replay, analytical degrade,
-// per-kernel retry, trace-axis faults and an isolated batch.
+// trace-axis faults and an isolated batch.
 
 enum class GoldenVariant {
   kPlain,
@@ -169,8 +169,7 @@ enum class GoldenVariant {
   kWideSubCore,  // one 96-slot sub-core
   kMemoCold,     // memo on, app x4, empty caches
   kMemoWarm,     // memo on, app x4, second run over the warmed caches
-  kWallDegrade,  // degrade.on_hang tripped by a wall budget, no plan
-  kFaultRetry,   // storm+delay with degrade.max_retries = 1
+  kWallDegrade,  // degrade_on_hang tripped by a wall budget, no plan
   kTraceFaults,  // trace-axis truncation plan
   kBatch,        // isolated batch {app, poisoned app}; hashes outcomes too
 };
@@ -224,7 +223,6 @@ std::string RowLabel(const GoldenRow& row) {
   if (row.variant == GoldenVariant::kMemoCold) label += "/memo-cold";
   if (row.variant == GoldenVariant::kMemoWarm) label += "/memo-warm";
   if (row.variant == GoldenVariant::kWallDegrade) label += "/wall-degrade";
-  if (row.variant == GoldenVariant::kFaultRetry) label += "/storm+delay+retry";
   if (row.variant == GoldenVariant::kTraceFaults) label += "/trace-faults";
   if (row.variant == GoldenVariant::kBatch) label += "/batch";
   return label;
@@ -249,7 +247,7 @@ FaultPlan TruncatePlan() {
   return plan;
 }
 
-/// A first kernel no SM can host: every attempt fails at launch.
+/// A first kernel no SM can host: the run fails at launch.
 Application Poisoned(Application app) {
   auto& first = app.kernels.front();
   KernelInfo info = first->info();
@@ -286,10 +284,7 @@ RunOptions GoldenOptions(const GoldenRow& row) {
     // The budget expires at the first wall-clock check (every 4096th
     // poll), so each kernel long enough to reach one degrades.
     options.model.watchdog.wall_seconds = 1e-9;
-    options.degrade.on_hang = true;
-  }
-  if (row.variant == GoldenVariant::kFaultRetry) {
-    options.degrade.max_retries = 1;
+    options.degrade_on_hang = true;
   }
   return options;
 }
@@ -314,27 +309,21 @@ SimResult RunGoldenRow(const GoldenRow& row, const Application& app) {
     return Run({app, cfg, row.level, options}).TakeOrThrow();
   }
   const FaultPlan plan = StormDelayPlan();
-  if (row.variant == GoldenVariant::kFaults ||
-      row.variant == GoldenVariant::kFaultRetry) {
-    options.fault_plan = &plan;
-  }
+  if (row.variant == GoldenVariant::kFaults) options.fault_plan = &plan;
   return RunSimulation(app, cfg, row.level, options);
 }
 
-/// The batch row: every result's digest plus its outcome's status and
-/// attempt count.
+/// The batch row: every result's digest plus its outcome's status.
 std::string GoldenBatchDigest(const GoldenRow& row, const Application& app) {
   const FaultPlan plan = StormDelayPlan();
   RunOptions options = GoldenOptions(row);
   options.fault_plan = &plan;
-  options.retries = 1;
   const ParallelBatchResult batch = RunAppsParallel(
       {app, Poisoned(app)}, GoldenConfig(row), row.level, 2, options);
   FpHasher h;
   for (std::size_t i = 0; i < batch.results.size(); ++i) {
     h.MixString(GoldenDigest(batch.results[i]));
     h.MixString(ToString(batch.statuses.at(i).status));
-    h.Mix(batch.statuses.at(i).attempts);
   }
   return h.Digest().ToHex();
 }
@@ -498,12 +487,10 @@ const GoldenRow kGoldenRows[] = {
      "7ba7a19d27af4482775fe2da95a8e863"},
     {"GEMM", "rtx2080ti", kDet, kGto, true, GoldenVariant::kWallDegrade,
      "ce6ba56dd1566adf1f23622265e3787e"},
-    {"BFS", "rtx2080ti", kDet, kGto, true, GoldenVariant::kFaultRetry,
-     "6a8d63375155b125a35962992160d7fc"},
     {"BFS", "rtx2080ti", kDet, kGto, true, GoldenVariant::kTraceFaults,
      "d01081c95d38fb0b411beb031231043c"},
     {"BFS", "rtx2080ti", kDet, kGto, true, GoldenVariant::kBatch,
-     "2a9694fe8a3563726bff92b021be68cc"},
+     "2fee70c4faf83e18f610552c5cf46160"},
 };
 // clang-format on
 

@@ -363,7 +363,7 @@ void RewriteJournalPrefix(const std::string& path, std::size_t keep) {
   const JournalRecovery rec = ReadJournal(path);
   SS_CHECK(keep <= rec.records.size(), "prefix longer than journal");
   Journal j;
-  j.Open(path, /*truncate=*/true, {});
+  j.Open(path, /*truncate=*/true);
   for (std::size_t i = 0; i < keep; ++i) j.Append(rec.records[i]);
   j.Close();
 }
@@ -475,7 +475,7 @@ TEST(DseEngine, ResumeRejectsTamperedPruneAndUnknownRecords) {
   // mismatch is detected, not silently adopted.
   {
     Journal j;
-    j.Open(path, /*truncate=*/true, {});
+    j.Open(path, /*truncate=*/true);
     for (const std::string& r : rec.records) {
       if (r.rfind("prune screen ", 0) == 0) {
         const std::size_t cut = r.find_last_of(' ');
@@ -501,7 +501,7 @@ TEST(DseEngine, ResumeRejectsTamperedPruneAndUnknownRecords) {
   // An unknown record kind is a version/corruption problem, never skipped.
   {
     Journal j;
-    j.Open(path, /*truncate=*/true, {});
+    j.Open(path, /*truncate=*/true);
     for (const std::string& r : rec.records) j.Append(r);
     j.Append("checkpoint 42");
   }

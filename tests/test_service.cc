@@ -405,19 +405,31 @@ TEST_F(ServiceTest, OversizedAndUnknownJobsRejectedBeforeAdmission) {
 }
 
 TEST_F(ServiceTest, InvalidConfigValueNamesTheFieldNotTheSource) {
-  // A value that parses but fails validation is the client's mistake: the
-  // rejection names the field and carries no source file location.
+  // A value that fails validation, or INI text that does not parse, is the
+  // client's mistake: the rejection names the field or line and carries no
+  // source file location.
+  struct Case {
+    const char* config_ini;
+    const char* named;  // must appear in the message
+  };
+  const Case cases[] = {
+      {"[gpu]\nnum_sms = 0\n", "num_sms"},
+      {"[gpu\nnum_sms = 4\n", "unterminated section header at line 1"},
+      {"[gpu]\nnum_sms 4\n", "expected 'key = value' at line 2"},
+  };
   SimulationService svc(ServiceOptions{});
-  Response rejection;
-  JobRequest zero_sms = Job("zero-sms", "NW");
-  zero_sms.config_ini = "[gpu]\nnum_sms = 0\n";
-  EXPECT_FALSE(svc.Submit(zero_sms, [](const Response&) {}, &rejection));
-  EXPECT_EQ(rejection.error, ErrorCode::kBadConfig);
-  EXPECT_NE(rejection.error_message.find("num_sms"), std::string::npos)
-      << rejection.error_message;
-  EXPECT_FALSE(std::regex_search(rejection.error_message,
-                                 std::regex(R"(\.(cc|h):[0-9]+)")))
-      << rejection.error_message;
+  for (const Case& c : cases) {
+    Response rejection;
+    JobRequest job = Job("bad-config", "NW");
+    job.config_ini = c.config_ini;
+    EXPECT_FALSE(svc.Submit(job, [](const Response&) {}, &rejection));
+    EXPECT_EQ(rejection.error, ErrorCode::kBadConfig) << c.config_ini;
+    EXPECT_NE(rejection.error_message.find(c.named), std::string::npos)
+        << rejection.error_message;
+    EXPECT_FALSE(std::regex_search(rejection.error_message,
+                                   std::regex(R"(\.(cc|h):[0-9]+)")))
+        << rejection.error_message;
+  }
 }
 
 TEST_F(ServiceTest, WatchdogTimeoutIsIsolatedAndServiceKeepsServing) {
