@@ -114,23 +114,51 @@ class FlatMap {
     if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) {
       Rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
     }
-    std::size_t i = hash_(k) & mask();
-    while (used_[i]) {
-      if (slots_[i].key == k) return slots_[i].value;
-      i = (i + 1) & mask();
-    }
-    used_[i] = 1;
-    slots_[i].key = k;
-    slots_[i].value = V{};
-    ++size_;
-    return slots_[i].value;
+    const std::size_t i = Locate(k);
+    return used_[i] ? slots_[i].value : InsertAt(i, k);
   }
 
   /// Backward-shift deletion: no tombstones, probe chains stay minimal
   /// under churn. Returns true iff the key was present.
   bool erase(const K& k) {
-    std::size_t i = FindSlot(k);
+    const std::size_t i = FindSlot(k);
     if (i == kNpos) return false;
+    EraseAt(i);
+    return true;
+  }
+
+  // --- Bucket interface ----------------------------------------------------
+  // For callers that hash a key once and then act on the answer (the MSHR
+  // miss and fill paths). A bucket index stays valid until the next insert
+  // or erase.
+
+  /// The bucket holding `k`, or the empty bucket an insert of `k` would
+  /// take. Requires a prior Reserve (the table is never empty).
+  std::size_t Locate(const K& k) const {
+    SS_DCHECK(!slots_.empty());
+    std::size_t i = hash_(k) & mask();
+    while (used_[i] && !(slots_[i].key == k)) i = (i + 1) & mask();
+    return i;
+  }
+  bool Holds(std::size_t bucket) const { return used_[bucket] != 0; }
+  V& ValueAt(std::size_t bucket) { return slots_[bucket].value; }
+  const V& ValueAt(std::size_t bucket) const { return slots_[bucket].value; }
+
+  /// Inserts `k` (value-initialized) into the empty bucket Locate(k)
+  /// returned. Never rehashes: the caller's Reserve must cover the entry.
+  V& InsertAt(std::size_t bucket, const K& k) {
+    SS_DCHECK(!used_[bucket] && (size_ + 1) * 4 <= slots_.size() * 3);
+    used_[bucket] = 1;
+    slots_[bucket].key = k;
+    slots_[bucket].value = V{};
+    ++size_;
+    return slots_[bucket].value;
+  }
+
+  /// Erases the entry in an occupied bucket (backward-shift deletion).
+  void EraseAt(std::size_t bucket) {
+    SS_DCHECK(used_[bucket]);
+    std::size_t i = bucket;
     for (;;) {
       std::size_t j = i;
       for (;;) {
@@ -139,7 +167,7 @@ class FlatMap {
           used_[i] = 0;
           slots_[i] = Item{};  // release any resources held by the value
           --size_;
-          return true;
+          return;
         }
         // Element at j may move back to the hole at i iff its ideal slot
         // is cyclically at-or-before i, i.e. its probe distance covers
@@ -167,12 +195,8 @@ class FlatMap {
 
   std::size_t FindSlot(const K& k) const {
     if (slots_.empty()) return kNpos;
-    std::size_t i = hash_(k) & mask();
-    while (used_[i]) {
-      if (slots_[i].key == k) return i;
-      i = (i + 1) & mask();
-    }
-    return kNpos;
+    const std::size_t i = Locate(k);
+    return used_[i] ? i : kNpos;
   }
 
   void Rehash(std::size_t new_cap) {

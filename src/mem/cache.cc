@@ -22,7 +22,7 @@ SectorCache::SectorCache(std::string name, const CacheParams& params,
   miss_out_.Reserve(static_cast<std::size_t>(out_capacity) * 2);
 }
 
-void SectorCache::BeginCycle(Cycle now) {
+void SectorCache::ResetAndRelease(Cycle now) {
   if (banks_dirty_) {
     std::fill(bank_used_.begin(), bank_used_.end(), 0);
     banks_dirty_ = false;
@@ -79,16 +79,15 @@ bool SectorCache::Access(const MemRequest& req, Cycle now, CacheReject* why) {
 
 bool SectorCache::AccessLoad(const MemRequest& req, Cycle now,
                              CacheReject& why) {
-  if (tags_.IsHit(req.line_addr, req.sector_mask)) {
+  // One tag lookup serves the hit check and, on a miss, the probe below:
+  // nothing between them allocates a way.
+  const std::size_t way = tags_.Lookup(req.line_addr);
+  if (tags_.HitAt(way, req.sector_mask)) {
     if (!TakeBank(req.line_addr)) {
       why = CacheReject::kBank;
       return false;
     }
-    Eviction ev;
-    const TagOutcome out = tags_.Probe(req.line_addr, req.sector_mask, now,
-                                       &ev);
-    SS_DCHECK(out == TagOutcome::kHit);
-    (void)out;
+    tags_.Touch(way, now);
     ++stats_.accesses;
     ++stats_.load_accesses;
     ++stats_.hits;
@@ -98,7 +97,8 @@ bool SectorCache::AccessLoad(const MemRequest& req, Cycle now,
   }
 
   // Miss path: check every resource before mutating anything.
-  if (!mshr_.CanAllocate(req.line_addr)) {
+  const Mshr::Slot slot = mshr_.Lookup(req.line_addr);
+  if (!mshr_.CanAllocate(slot)) {
     ++stats_.mshr_stalls;
     why = CacheReject::kMshrFull;
     return false;
@@ -113,39 +113,34 @@ bool SectorCache::AccessLoad(const MemRequest& req, Cycle now,
     return false;
   }
 
-  bool line_was_present;
+  const bool line_was_present = way != TagArray::kNoWay;
   if (params_.streaming) {
     // Streaming cache: the miss does NOT reserve a way — the line is
     // allocated when the fill arrives (FillAllocate). Reservation
     // failures are impossible; the MSHRs alone bound in-flight misses.
-    line_was_present = tags_.MarkDirty(req.line_addr, 0, now);
+    if (line_was_present) tags_.Touch(way, now);
   } else {
     Eviction ev;
-    const TagOutcome out = tags_.Probe(req.line_addr, req.sector_mask, now,
-                                       &ev);
+    const TagOutcome out =
+        tags_.ProbeAt(way, req.line_addr, req.sector_mask, now, &ev);
     if (out == TagOutcome::kReservationFail) {
       ++stats_.reservation_fails;
       why = CacheReject::kResFail;
       return false;
     }
     EmitEviction(ev);
-    line_was_present = out == TagOutcome::kSectorMiss;
   }
   ++stats_.accesses;
   ++stats_.load_accesses;
 
-  const bool had_entry = mshr_.HasEntry(req.line_addr);
-  const std::uint32_t already = mshr_.RequestedSectors(req.line_addr);
-  mshr_.Allocate(req.line_addr, req);
-  if (had_entry) ++stats_.mshr_merges;
+  const std::uint32_t need = mshr_.Allocate(slot, req.line_addr, req);
+  if (slot.found()) ++stats_.mshr_merges;
   if (line_was_present) {
     ++stats_.sector_misses;
   } else {
     ++stats_.misses;
   }
-  const std::uint32_t need = req.sector_mask & ~already;
   if (need != 0) {
-    if (had_entry) mshr_.AddRequestedSectors(req.line_addr, need);
     MemRequest down;
     down.line_addr = req.line_addr;
     down.sector_mask = need;

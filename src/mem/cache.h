@@ -63,8 +63,14 @@ class SectorCache {
   /// the per-bank budget and releases latency-pipe responses that are due.
   /// An owner with no access or fill to make may skip it until
   /// NextEventAfter's cycle: no response falls due before then, and the
-  /// next call resets the bank budget anyway.
-  void BeginCycle(Cycle now);
+  /// next call resets the bank budget anyway. Inline so that the common
+  /// nothing-to-do call costs two loads.
+  void BeginCycle(Cycle now) {
+    if (banks_dirty_ || (!pending_responses_.empty() &&
+                         pending_responses_.front().ready <= now)) {
+      ResetAndRelease(now);
+    }
+  }
 
   /// Attempts one access. Returns false (with NO state change) if the
   /// access cannot be accepted this cycle: bank busy, MSHR full/merge
@@ -140,6 +146,7 @@ class SectorCache {
   std::size_t ready_response_count() const { return ready_responses_.size(); }
 
  private:
+  void ResetAndRelease(Cycle now);
   bool AccessLoad(const MemRequest& req, Cycle now, CacheReject& why);
   bool AccessStore(const MemRequest& req, Cycle now, CacheReject& why);
   bool TakeBank(Addr line_addr);

@@ -10,61 +10,41 @@ Mshr::Mshr(unsigned entries, unsigned max_merge)
   index_.Reserve(entries);
 }
 
-bool Mshr::CanAllocate(Addr line_addr) const {
-  const std::uint32_t* slot = index_.Find(line_addr);
-  if (slot == nullptr) return size_ < max_entries_;
-  return pool_[*slot].merged < max_merge_;
-}
-
-void Mshr::Allocate(Addr line_addr, const MemRequest& requester) {
-  SS_DCHECK(CanAllocate(line_addr));
-  std::uint32_t slot;
-  if (const std::uint32_t* found = index_.Find(line_addr)) {
-    slot = *found;
-  } else {
+std::uint32_t Mshr::Allocate(const Slot& slot, Addr line_addr,
+                             const MemRequest& requester) {
+  SS_DCHECK(CanAllocate(slot));
+  std::uint32_t entry = slot.entry;
+  if (!slot.found()) {
     if (free_head_ != kNil) {
-      slot = free_head_;
-      free_head_ = pool_[slot].next_free;
+      entry = free_head_;
+      free_head_ = pool_[entry].next_free;
     } else {
       // Fresh slots come out in ascending order once the free list runs
       // dry; the reserved capacity makes this growth allocation-free.
       SS_DCHECK(pool_.size() < max_entries_);
-      slot = static_cast<std::uint32_t>(pool_.size());
+      entry = static_cast<std::uint32_t>(pool_.size());
       pool_.emplace_back();
     }
-    pool_[slot].requested_sectors = 0;
-    pool_[slot].arrived_sectors = 0;
-    pool_[slot].merged = 0;
-    index_[line_addr] = slot;
+    pool_[entry].requested_sectors = 0;
+    pool_[entry].arrived_sectors = 0;
+    pool_[entry].merged = 0;
+    index_.InsertAt(slot.bucket, line_addr) = entry;
     ++size_;
   }
-  Entry& e = pool_[slot];
+  Entry& e = pool_[entry];
   ++e.merged;
+  const std::uint32_t need = requester.sector_mask & ~e.requested_sectors;
   e.requested_sectors |= requester.sector_mask;
   if (requester.id != 0) e.waiters.push_back(requester);
-}
-
-bool Mshr::HasEntry(Addr line_addr) const {
-  return index_.contains(line_addr);
-}
-
-std::uint32_t Mshr::RequestedSectors(Addr line_addr) const {
-  const std::uint32_t* slot = index_.Find(line_addr);
-  return slot == nullptr ? 0u : pool_[*slot].requested_sectors;
-}
-
-void Mshr::AddRequestedSectors(Addr line_addr, std::uint32_t sector_mask) {
-  std::uint32_t* slot = index_.Find(line_addr);
-  SS_DCHECK(slot != nullptr);
-  pool_[*slot].requested_sectors |= sector_mask;
+  return need;
 }
 
 void Mshr::Fill(Addr line_addr, std::uint32_t sector_mask,
                 MshrWaiters* satisfied) {
   satisfied->clear();
-  std::uint32_t* found = index_.Find(line_addr);
-  if (found == nullptr) return;
-  const std::uint32_t slot = *found;
+  const std::size_t bucket = index_.Locate(line_addr);
+  if (!index_.Holds(bucket)) return;
+  const std::uint32_t slot = index_.ValueAt(bucket);
   Entry& e = pool_[slot];
   e.arrived_sectors |= sector_mask;
   // Stable in-place partition: waiters still missing sectors keep their
@@ -83,7 +63,7 @@ void Mshr::Fill(Addr line_addr, std::uint32_t sector_mask,
   }
   w.resize(keep);
   if (w.empty() && (e.requested_sectors & ~e.arrived_sectors) == 0) {
-    index_.erase(line_addr);
+    index_.EraseAt(bucket);
     e.waiters.clear();
     e.next_free = free_head_;
     free_head_ = slot;

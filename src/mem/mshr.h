@@ -11,9 +11,10 @@
 // Entries live in a pool whose capacity is reserved at the entry limit;
 // an entry is constructed on first use, so a model whose caches never see
 // that many misses outstanding never pays for the rest. Entries are looked
-// up through a slim line->index map. Keeping the fat waiter lists out of the
-// hash slots matters on the hot path: probes stride over 16-byte items
-// instead of multi-hundred-byte entries, and the map's backward-shift
+// up through a slim line->index map, hashed once per miss (Lookup hands the
+// bucket on to Allocate) and once per fill. Keeping the fat waiter lists
+// out of the hash slots matters on the hot path: probes stride over 16-byte
+// items instead of multi-hundred-byte entries, and the map's backward-shift
 // deletion moves indices, never waiter vectors.
 #pragma once
 
@@ -34,27 +35,44 @@ using MshrWaiters = InlineVec<MemRequest, 8>;
 
 class Mshr {
  public:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// Where a line's miss lands: its outstanding entry, or the index bucket
+  /// a new entry would take. One hash per miss; valid until the next
+  /// Allocate or Fill.
+  struct Slot {
+    std::size_t bucket = 0;
+    std::uint32_t entry = kNil;  // pool index; kNil when no fill outstanding
+    bool found() const { return entry != kNil; }
+  };
+
   Mshr(unsigned entries, unsigned max_merge);
 
-  /// Can a new miss to `line_addr` be tracked this cycle? (Entry available,
-  /// or an existing entry with merge headroom.)
-  bool CanAllocate(Addr line_addr) const;
+  Slot Lookup(Addr line_addr) const {
+    const std::size_t bucket = index_.Locate(line_addr);
+    return {bucket, index_.Holds(bucket) ? index_.ValueAt(bucket) : kNil};
+  }
 
-  /// Records a miss. `requester` waits for its sector mask (stores pass
-  /// id==0 and are counted against the merge limit but never woken).
-  /// Requires CanAllocate(line_addr).
-  void Allocate(Addr line_addr, const MemRequest& requester);
+  /// Can the miss at `slot` be tracked this cycle? (Entry available, or an
+  /// existing entry with merge headroom.)
+  bool CanAllocate(const Slot& slot) const {
+    return slot.found() ? pool_[slot.entry].merged < max_merge_
+                        : size_ < max_entries_;
+  }
 
-  /// True iff a fill for this line is already outstanding.
-  bool HasEntry(Addr line_addr) const;
-
-  /// Sectors already requested from the next level for this line (union
+  /// Sectors already requested from the next level for the line (union
   /// over merged requests); 0 if no entry.
-  std::uint32_t RequestedSectors(Addr line_addr) const;
+  std::uint32_t RequestedSectors(const Slot& slot) const {
+    return slot.found() ? pool_[slot.entry].requested_sectors : 0u;
+  }
 
-  /// Extends the requested set (a sector miss piggybacking an additional
-  /// next-level request onto the existing entry).
-  void AddRequestedSectors(Addr line_addr, std::uint32_t sector_mask);
+  /// Records a miss at `slot` (Lookup(line_addr), with no MSHR change
+  /// since). `requester` waits for its sector mask (stores pass id==0 and
+  /// are counted against the merge limit but never woken). Returns the
+  /// requested sectors no earlier miss asked the next level for.
+  /// Requires CanAllocate(slot).
+  std::uint32_t Allocate(const Slot& slot, Addr line_addr,
+                         const MemRequest& requester);
 
   /// Registers arrival of `sector_mask` for the line and writes every
   /// waiter whose full sector set has now arrived into `*satisfied`
@@ -75,8 +93,6 @@ class Mshr {
   bool full() const { return size_ >= max_entries_; }
 
  private:
-  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-
   struct Entry {
     MshrWaiters waiters;
     std::uint32_t requested_sectors = 0;

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -28,14 +27,31 @@ struct NocStats {
   std::uint64_t output_stalls = 0;   // head blocked on busy port / full queue
 };
 
-/// One direction of the crossbar, carrying packets of type T.
-template <typename T>
+/// Wire sizes of the two directions: requests carry a header plus store
+/// payload; responses carry the filled sectors. Header flits are 8 bytes.
+struct RequestWireSize {
+  unsigned sector_bytes = 32;
+  unsigned operator()(const MemRequest& req) const {
+    return 8 + (req.is_store() ? req.bytes(sector_bytes) : 0);
+  }
+};
+struct ResponseWireSize {
+  unsigned sector_bytes = 32;
+  unsigned operator()(const MemResponse& resp) const {
+    return 8 + PopCount(resp.sector_mask) * sector_bytes;
+  }
+};
+
+/// One direction of the crossbar, carrying packets of type T. `WireSize`
+/// is a callable type giving a packet's wire size in bytes for
+/// serialization; arbitration calls it once per grant, so it is a template
+/// parameter the compiler can inline rather than an indirect call.
+template <typename T, typename WireSize>
 class XbarChannel {
  public:
-  /// `bytes_of` gives the wire size of a packet for serialization.
   XbarChannel(unsigned num_inputs, unsigned num_outputs,
-              const NocConfig& cfg, std::function<unsigned(const T&)> bytes_of)
-      : cfg_(cfg), bytes_of_(std::move(bytes_of)), inputs_(num_inputs),
+              const NocConfig& cfg, WireSize bytes_of = {})
+      : cfg_(cfg), bytes_of_(bytes_of), inputs_(num_inputs),
         outputs_(num_outputs), eject_(num_outputs), rr_start_(0),
         busy_inputs_(num_inputs), busy_outputs_(num_outputs) {
     SS_CHECK(num_inputs > 0 && num_outputs > 0,
@@ -175,7 +191,7 @@ class XbarChannel {
   };
 
   NocConfig cfg_;
-  std::function<unsigned(const T&)> bytes_of_;
+  [[no_unique_address]] WireSize bytes_of_;
   std::vector<Input> inputs_;
   std::vector<Output> outputs_;
   std::vector<RingBuffer<T>> eject_;
@@ -190,7 +206,9 @@ class XbarChannel {
 class Interconnect {
  public:
   Interconnect(unsigned num_sms, unsigned num_partitions,
-               const NocConfig& cfg, unsigned sector_bytes);
+               const NocConfig& cfg, unsigned sector_bytes)
+      : req_net_(num_sms, num_partitions, cfg, {sector_bytes}),
+        resp_net_(num_partitions, num_sms, cfg, {sector_bytes}) {}
 
   bool InjectRequest(SmId sm, unsigned partition, const MemRequest& req) {
     return req_net_.Inject(sm, partition, req);
@@ -235,8 +253,8 @@ class Interconnect {
   std::size_t response_occupancy() const { return resp_net_.occupancy(); }
 
  private:
-  XbarChannel<MemRequest> req_net_;
-  XbarChannel<MemResponse> resp_net_;
+  XbarChannel<MemRequest, RequestWireSize> req_net_;
+  XbarChannel<MemResponse, ResponseWireSize> resp_net_;
 };
 
 }  // namespace swiftsim

@@ -7,177 +7,159 @@ namespace swiftsim {
 
 TagArray::TagArray(const CacheParams& params, std::uint64_t rng_seed)
     : params_(params), sets_(params.num_sets()),
-      lines_(static_cast<std::size_t>(sets_) * params.assoc),
-      rng_(rng_seed) {}
+      tags_(static_cast<std::size_t>(sets_) * params.assoc, kFreeTag),
+      lines_(tags_.size()), rng_(rng_seed) {}
 
-unsigned TagArray::SetOf(Addr line_addr) const {
-  return static_cast<unsigned>((line_addr / params_.line_bytes) &
-                               (sets_ - 1));
+std::size_t TagArray::SetBase(Addr line_addr) const {
+  const unsigned set = static_cast<unsigned>((line_addr / params_.line_bytes) &
+                                             (sets_ - 1));
+  return static_cast<std::size_t>(set) * params_.assoc;
 }
 
-TagArray::Line* TagArray::FindLine(Addr line_addr) {
-  const unsigned set = SetOf(line_addr);
-  Line* base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
+std::size_t TagArray::Lookup(Addr line_addr) const {
+  SS_DCHECK(line_addr != kFreeTag);
+  const std::size_t base = SetBase(line_addr);
+  const Addr* tags = &tags_[base];
   for (unsigned w = 0; w < params_.assoc; ++w) {
-    if (base[w].allocated && base[w].tag == line_addr) return &base[w];
+    if (tags[w] == line_addr) return base + w;
   }
-  return nullptr;
+  return kNoWay;
 }
 
-const TagArray::Line* TagArray::FindLine(Addr line_addr) const {
-  return const_cast<TagArray*>(this)->FindLine(line_addr);
-}
-
-TagArray::Line* TagArray::PickVictim(unsigned set) {
-  Line* base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
+std::size_t TagArray::PickVictim(std::size_t base) {
+  const unsigned assoc = params_.assoc;
+  const Addr* tags = &tags_[base];
+  const Line* lines = &lines_[base];
   // Prefer an unallocated way.
-  for (unsigned w = 0; w < params_.assoc; ++w) {
-    if (!base[w].allocated) return &base[w];
+  for (unsigned w = 0; w < assoc; ++w) {
+    if (tags[w] == kFreeTag) return base + w;
   }
   // Otherwise evict per policy among non-reserved ways.
-  Line* victim = nullptr;
+  std::size_t victim = kNoWay;
   switch (params_.replacement) {
     case ReplacementPolicy::kLru:
-      for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line& l = base[w];
-        if (l.reserved()) continue;
-        if (victim == nullptr || l.last_use < victim->last_use) victim = &l;
+      for (unsigned w = 0; w < assoc; ++w) {
+        if (lines[w].reserved()) continue;
+        if (victim == kNoWay ||
+            lines[w].last_use < lines_[victim].last_use) {
+          victim = base + w;
+        }
       }
       break;
     case ReplacementPolicy::kFifo:
-      for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line& l = base[w];
-        if (l.reserved()) continue;
-        if (victim == nullptr || l.alloc_time < victim->alloc_time) {
-          victim = &l;
+      for (unsigned w = 0; w < assoc; ++w) {
+        if (lines[w].reserved()) continue;
+        if (victim == kNoWay ||
+            lines[w].alloc_time < lines_[victim].alloc_time) {
+          victim = base + w;
         }
       }
       break;
     case ReplacementPolicy::kRandom: {
       // Scan from a random start to find the first evictable way.
-      const unsigned start = static_cast<unsigned>(rng_.Below(params_.assoc));
-      for (unsigned i = 0; i < params_.assoc; ++i) {
-        Line& l = base[(start + i) % params_.assoc];
-        if (!l.reserved()) {
-          victim = &l;
+      const unsigned start = static_cast<unsigned>(rng_.Below(assoc));
+      for (unsigned i = 0; i < assoc; ++i) {
+        const unsigned w = (start + i) % assoc;
+        if (!lines[w].reserved()) {
+          victim = base + w;
           break;
         }
       }
       break;
     }
   }
-  return victim;  // nullptr => every way reserved => reservation failure
+  return victim;  // kNoWay => every way reserved => reservation failure
 }
 
-TagOutcome TagArray::Probe(Addr line_addr, std::uint32_t sector_mask,
-                           Cycle now, Eviction* ev) {
+void TagArray::Install(std::size_t way, Addr line_addr, std::uint32_t valid,
+                       std::uint32_t pending, std::uint32_t dirty, Cycle now,
+                       Eviction* ev) {
+  Line& l = lines_[way];
+  if (tags_[way] != kFreeTag) {
+    ev->valid = true;
+    ev->dirty = l.dirty_sectors != 0;
+    ev->line_addr = tags_[way];
+    ev->dirty_sectors = l.dirty_sectors;
+  }
+  tags_[way] = line_addr;
+  l.valid_sectors = valid;
+  l.pending_sectors = pending;
+  l.dirty_sectors = dirty;
+  l.last_use = now;
+  l.alloc_time = now;
+}
+
+TagOutcome TagArray::ProbeAt(std::size_t way, Addr line_addr,
+                             std::uint32_t sector_mask, Cycle now,
+                             Eviction* ev) {
   SS_DCHECK(ev != nullptr);
+  SS_DCHECK(way == Lookup(line_addr));
   *ev = Eviction{};
-  if (Line* l = FindLine(line_addr)) {
-    l->last_use = now;
-    const std::uint32_t missing =
-        sector_mask & ~(l->valid_sectors | l->pending_sectors);
-    if ((sector_mask & ~l->valid_sectors) == 0) return TagOutcome::kHit;
-    l->pending_sectors |= missing;
+  if (way != kNoWay) {
+    Line& l = lines_[way];
+    l.last_use = now;
+    if ((sector_mask & ~l.valid_sectors) == 0) return TagOutcome::kHit;
+    l.pending_sectors |= sector_mask & ~(l.valid_sectors | l.pending_sectors);
     return TagOutcome::kSectorMiss;
   }
-  const unsigned set = SetOf(line_addr);
-  Line* victim = PickVictim(set);
-  if (victim == nullptr) return TagOutcome::kReservationFail;
-  if (victim->allocated) {
-    ev->valid = true;
-    ev->dirty = victim->dirty_sectors != 0;
-    ev->line_addr = victim->tag;
-    ev->dirty_sectors = victim->dirty_sectors;
-  }
-  victim->tag = line_addr;
-  victim->allocated = true;
-  victim->valid_sectors = 0;
-  victim->pending_sectors = sector_mask;
-  victim->dirty_sectors = 0;
-  victim->last_use = now;
-  victim->alloc_time = now;
+  const std::size_t victim = PickVictim(SetBase(line_addr));
+  if (victim == kNoWay) return TagOutcome::kReservationFail;
+  Install(victim, line_addr, 0, sector_mask, 0, now, ev);
   return TagOutcome::kMiss;
 }
 
-bool TagArray::IsHit(Addr line_addr, std::uint32_t sector_mask) const {
-  const Line* l = FindLine(line_addr);
-  return l != nullptr && (sector_mask & ~l->valid_sectors) == 0;
-}
-
 void TagArray::Fill(Addr line_addr, std::uint32_t sector_mask, Cycle now) {
-  if (Line* l = FindLine(line_addr)) {
-    l->valid_sectors |= sector_mask;
-    l->pending_sectors &= ~sector_mask;
-    l->last_use = now;
-  }
+  const std::size_t way = Lookup(line_addr);
+  if (way == kNoWay) return;
+  Line& l = lines_[way];
+  l.valid_sectors |= sector_mask;
+  l.pending_sectors &= ~sector_mask;
+  l.last_use = now;
 }
 
 bool TagArray::MarkDirty(Addr line_addr, std::uint32_t sector_mask,
                          Cycle now) {
-  if (Line* l = FindLine(line_addr)) {
-    l->dirty_sectors |= sector_mask;
-    l->valid_sectors |= sector_mask;  // full-sector writes validate
-    l->last_use = now;
-    return true;
-  }
-  return false;
+  const std::size_t way = Lookup(line_addr);
+  if (way == kNoWay) return false;
+  Line& l = lines_[way];
+  l.dirty_sectors |= sector_mask;
+  l.valid_sectors |= sector_mask;  // full-sector writes validate
+  l.last_use = now;
+  return true;
 }
 
 void TagArray::FillAllocate(Addr line_addr, std::uint32_t sector_mask,
                             Cycle now, Eviction* ev) {
   SS_DCHECK(ev != nullptr);
   *ev = Eviction{};
-  if (Line* l = FindLine(line_addr)) {
-    l->valid_sectors |= sector_mask;
-    l->pending_sectors &= ~sector_mask;
-    l->last_use = now;
+  const std::size_t way = Lookup(line_addr);
+  if (way != kNoWay) {
+    Line& l = lines_[way];
+    l.valid_sectors |= sector_mask;
+    l.pending_sectors &= ~sector_mask;
+    l.last_use = now;
     return;
   }
-  const unsigned set = SetOf(line_addr);
-  Line* victim = PickVictim(set);
-  SS_ASSERT(victim != nullptr);  // streaming caches never reserve ways
-  if (victim->allocated) {
-    ev->valid = true;
-    ev->dirty = victim->dirty_sectors != 0;
-    ev->line_addr = victim->tag;
-    ev->dirty_sectors = victim->dirty_sectors;
-  }
-  victim->tag = line_addr;
-  victim->allocated = true;
-  victim->valid_sectors = sector_mask;
-  victim->pending_sectors = 0;
-  victim->dirty_sectors = 0;
-  victim->last_use = now;
-  victim->alloc_time = now;
+  const std::size_t victim = PickVictim(SetBase(line_addr));
+  SS_ASSERT(victim != kNoWay);  // streaming caches never reserve ways
+  Install(victim, line_addr, sector_mask, 0, 0, now, ev);
 }
 
 TagOutcome TagArray::WriteValidate(Addr line_addr, std::uint32_t sector_mask,
                                    Cycle now, Eviction* ev) {
   SS_DCHECK(ev != nullptr);
   *ev = Eviction{};
-  if (Line* l = FindLine(line_addr)) {
-    l->valid_sectors |= sector_mask;
-    l->dirty_sectors |= sector_mask;
-    l->last_use = now;
+  const std::size_t way = Lookup(line_addr);
+  if (way != kNoWay) {
+    Line& l = lines_[way];
+    l.valid_sectors |= sector_mask;
+    l.dirty_sectors |= sector_mask;
+    l.last_use = now;
     return TagOutcome::kHit;
   }
-  const unsigned set = SetOf(line_addr);
-  Line* victim = PickVictim(set);
-  if (victim == nullptr) return TagOutcome::kReservationFail;
-  if (victim->allocated) {
-    ev->valid = true;
-    ev->dirty = victim->dirty_sectors != 0;
-    ev->line_addr = victim->tag;
-    ev->dirty_sectors = victim->dirty_sectors;
-  }
-  victim->tag = line_addr;
-  victim->allocated = true;
-  victim->valid_sectors = sector_mask;
-  victim->pending_sectors = 0;
-  victim->dirty_sectors = sector_mask;
-  victim->last_use = now;
-  victim->alloc_time = now;
+  const std::size_t victim = PickVictim(SetBase(line_addr));
+  if (victim == kNoWay) return TagOutcome::kReservationFail;
+  Install(victim, line_addr, sector_mask, 0, sector_mask, now, ev);
   return TagOutcome::kMiss;
 }
 

@@ -31,17 +31,41 @@ struct Eviction {
 
 class TagArray {
  public:
+  /// Way index returned by Lookup when the line is absent.
+  static constexpr std::size_t kNoWay = ~std::size_t{0};
+
   TagArray(const CacheParams& params, std::uint64_t rng_seed);
 
-  /// Probes for `line_addr`. On kMiss, reserves a victim way (recording the
-  /// eviction in *ev) and marks the requested sectors as pending-fill. On
-  /// kSectorMiss, marks the missing sectors pending (line stays allocated).
-  /// On kReservationFail nothing changes. `now` drives LRU/FIFO ordering.
+  /// The way holding (or reserving) `line_addr`, or kNoWay. Valid until
+  /// the next call that allocates a way. Callers that probe and then act
+  /// pass it on, so an access hashes and walks its set once.
+  std::size_t Lookup(Addr line_addr) const;
+
+  /// True iff `way` (from Lookup; kNoWay allowed) holds every requested
+  /// sector valid.
+  bool HitAt(std::size_t way, std::uint32_t sector_mask) const {
+    return way != kNoWay && (sector_mask & ~lines_[way].valid_sectors) == 0;
+  }
+
+  /// Refreshes a resident way's recency (an access that changes no sector).
+  void Touch(std::size_t way, Cycle now) { lines_[way].last_use = now; }
+
+  /// Probes `line_addr` at its Lookup result `way`. On kMiss, reserves a
+  /// victim way (recording the eviction in *ev) and marks the requested
+  /// sectors as pending-fill. On kSectorMiss, marks the missing sectors
+  /// pending (line stays allocated). On kReservationFail nothing changes.
+  /// `now` drives LRU/FIFO ordering.
+  TagOutcome ProbeAt(std::size_t way, Addr line_addr,
+                     std::uint32_t sector_mask, Cycle now, Eviction* ev);
   TagOutcome Probe(Addr line_addr, std::uint32_t sector_mask, Cycle now,
-                   Eviction* ev);
+                   Eviction* ev) {
+    return ProbeAt(Lookup(line_addr), line_addr, sector_mask, now, ev);
+  }
 
   /// Read-only lookup: true iff all requested sectors are valid now.
-  bool IsHit(Addr line_addr, std::uint32_t sector_mask) const;
+  bool IsHit(Addr line_addr, std::uint32_t sector_mask) const {
+    return HitAt(Lookup(line_addr), sector_mask);
+  }
 
   /// Installs fill data for a previously reserved/pending line. Unknown
   /// lines are ignored (the line may have been victimized meanwhile —
@@ -66,10 +90,14 @@ class TagArray {
   unsigned num_sets() const { return sets_; }
 
  private:
+  /// Tag of a way that holds no line. Line addresses are line-aligned, so
+  /// no real tag has all low bits set.
+  static constexpr Addr kFreeTag = ~Addr{0};
+
+  /// Per-way state beside the packed tag array (the tag itself lives in
+  /// tags_, so the set walk of a lookup reads tags only).
   struct Line {
-    Addr tag = 0;                    // full line address
-    bool allocated = false;          // way holds/reserves a line
-    std::uint32_t valid_sectors = 0; // filled sectors
+    std::uint32_t valid_sectors = 0;    // filled sectors
     std::uint32_t pending_sectors = 0;  // requested from next level
     std::uint32_t dirty_sectors = 0;
     Cycle last_use = 0;
@@ -78,16 +106,19 @@ class TagArray {
     bool reserved() const { return pending_sectors != 0; }
   };
 
-  Line* FindLine(Addr line_addr);
-  const Line* FindLine(Addr line_addr) const;
-  /// Chooses a victim way in `set`; returns nullptr if all ways reserved.
-  Line* PickVictim(unsigned set);
-
-  unsigned SetOf(Addr line_addr) const;
+  std::size_t SetBase(Addr line_addr) const;
+  /// Chooses a victim way in the set starting at `base`; returns kNoWay
+  /// if all ways are reserved.
+  std::size_t PickVictim(std::size_t base);
+  /// Installs `line_addr` in `way`, reporting the displaced line in *ev.
+  void Install(std::size_t way, Addr line_addr, std::uint32_t valid,
+               std::uint32_t pending, std::uint32_t dirty, Cycle now,
+               Eviction* ev);
 
   CacheParams params_;
   unsigned sets_;
-  std::vector<Line> lines_;  // sets_ x assoc, row-major
+  std::vector<Addr> tags_;   // sets_ x assoc, row-major; kFreeTag = empty
+  std::vector<Line> lines_;  // parallel to tags_
   Rng rng_;
 };
 

@@ -187,10 +187,11 @@ bool GpuModel::TickSmRange(unsigned first, unsigned last, Cycle now) {
       } else if (tick_all || sm.NextWake() <= now ||
                  (account_skips && sm.CapacityWakeDue())) {
         progressed |= sm.Tick(now);
-      } else if (account_skips) {
+      } else if (account_skips || sm.SleptThroughFill(now)) {
         // The per-cycle reference would have ticked this SM, counted a
         // stall, and re-failed any capacity-blocked injection; keep the
-        // metrics bit-identical.
+        // metrics bit-identical. Hybrid-ALU drivers account only the tick
+        // a fill used to force.
         sm.AccountSkippedCycles(1);
       }
     } else {

@@ -470,7 +470,12 @@ bool SmCore::Tick(Cycle now) {
       SS_CHECK(routed, "L1 response with no owning LD/ST unit");
     }
     for (SubCore& sc : subcores_) {
-      sc.ldst->Tick(now);
+      // A unit with nothing to inject and no fixed completion due would
+      // only clear a block reason that is already clear.
+      if (sc.ldst->HasPendingInjections() ||
+          sc.ldst->NextFixedCompletion() <= now) {
+        sc.ldst->Tick(now);
+      }
       NoteWake(sc.ldst->NextFixedCompletion());
     }
   }
@@ -637,10 +642,25 @@ void SmCore::DeliverResponse(const MemResponse& resp, Cycle now) {
            "DeliverResponse in analytical memory mode");
   l1_->Fill(resp, now);
   // The fill frees MSHR entries and updates tags, which can change the
-  // outcome of a capacity-blocked LD/ST retry on THIS cycle — the
-  // per-cycle reference delivers before ticking, so wake immediately
-  // rather than when the fill's latency-pipe responses land.
-  ForceWake();
+  // outcome of an LD/ST injection on THIS cycle — the per-cycle reference
+  // delivers before ticking — so an SM with an injection pending wakes
+  // now. So does an SM already due, and one whose scheduler probe mutates
+  // state (two-level), whose elided Pick would diverge. Otherwise nothing
+  // this SM reads changed but the L1 latency pipe, whose new waiter
+  // responses land at now + 1 at the earliest: the SM sleeps on, waking
+  // no later than the first of them.
+  const bool must_tick =
+      next_wake_ <= now || subcores_[0].scheduler->StatefulProbe() ||
+      std::any_of(subcores_.begin(), subcores_.end(), [](const SubCore& sc) {
+        return sc.ldst->HasPendingInjections();
+      });
+  if (must_tick) {
+    ForceWake();
+    return;
+  }
+  next_wake_ = std::min(next_wake_,
+                        std::max(now + 1, l1_->NextResponseReady()));
+  slept_fill_ = now;
 }
 
 namespace {

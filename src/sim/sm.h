@@ -78,8 +78,16 @@ class SmCore {
   /// event-driven fast path that gives the hybrid simulators their speed.
   Cycle NextWake() const { return next_wake_; }
 
-  /// Invalidates the cached wake time (new CTA, delivered response, …).
+  /// Invalidates the cached wake time (new CTA, a fill that can matter
+  /// this cycle, …).
   void ForceWake() { next_wake_ = 0; }
+
+  /// True when a fill delivered on cycle `now` left this SM asleep
+  /// (DeliverResponse). The tick a fill used to force would have counted
+  /// one stall cycle; drivers that do not account skipped cycles (the
+  /// hybrid-ALU levels) charge it through AccountSkippedCycles(1), once
+  /// per cycle however many fills arrived.
+  bool SleptThroughFill(Cycle now) const { return slept_fill_ == now; }
 
   /// Stats catch-up for cycles the driver proved would be no-op ticks and
   /// elided (cycle skipping, DESIGN.md §9). The per-cycle reference loop
@@ -128,6 +136,9 @@ class SmCore {
 
   // --- Memory-side interface (cycle-accurate memory mode only) ------------
   SectorCache* l1() { return l1_.get(); }
+  /// Fills the L1 from the NoC. Wakes the SM this cycle only if the fill
+  /// can matter to it now (DESIGN.md §9); otherwise its wake moves no
+  /// later than the fill's first waiter response.
   void DeliverResponse(const MemResponse& resp, Cycle now);
 
   const SmStats& stats() const { return stats_; }
@@ -235,6 +246,7 @@ class SmCore {
       events_;
   Cycle next_struct_wake_ = kNever;
   Cycle next_wake_ = 0;
+  Cycle slept_fill_ = kNever;  // last cycle a fill left the SM asleep
 
   SmStats stats_;
 };

@@ -114,7 +114,9 @@ TEST(FlatMap, RandomChurnMatchesUnorderedMap) {
         const auto* f = flat.Find(key);
         auto it = ref.find(key);
         ASSERT_EQ(f != nullptr, it != ref.end());
-        if (f != nullptr) EXPECT_EQ(*f, it->second);
+        if (f != nullptr) {
+          EXPECT_EQ(*f, it->second);
+        }
       }
     }
     ASSERT_EQ(flat.size(), ref.size());

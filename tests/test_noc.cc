@@ -20,6 +20,12 @@ NocConfig SmallNoc() {
   return cfg;
 }
 
+/// Every packet occupies the wire for `Bytes` bytes.
+template <unsigned Bytes>
+struct FixedBytes {
+  unsigned operator()(const MemRequest&) const { return Bytes; }
+};
+
 MemRequest Req(Addr line, std::uint32_t sectors, bool store = false) {
   MemRequest r;
   r.line_addr = line;
@@ -30,8 +36,7 @@ MemRequest Req(Addr line, std::uint32_t sectors, bool store = false) {
 }
 
 TEST(Xbar, DeliversAfterSerializationPlusLatency) {
-  XbarChannel<MemRequest> net(2, 2, SmallNoc(),
-                              [](const MemRequest&) { return 8u; });
+  XbarChannel<MemRequest, FixedBytes<8>> net(2, 2, SmallNoc());
   ASSERT_TRUE(net.Inject(0, 1, Req(0x1000, 0x1)));
   Cycle now = 0;
   // 8 bytes at 32 B/cycle = 1 serialization cycle + 4 latency.
@@ -46,8 +51,7 @@ TEST(Xbar, DeliversAfterSerializationPlusLatency) {
 
 TEST(Xbar, LargePacketsOccupyThePortLonger) {
   // 136-byte packets at 32 B/cycle serialize for 5 cycles each.
-  XbarChannel<MemRequest> net(1, 1, SmallNoc(),
-                              [](const MemRequest&) { return 136u; });
+  XbarChannel<MemRequest, FixedBytes<136>> net(1, 1, SmallNoc());
   ASSERT_TRUE(net.Inject(0, 0, Req(0x1000, 0xF)));
   ASSERT_TRUE(net.Inject(0, 0, Req(0x2000, 0xF)));
   Cycle now = 0;
@@ -64,8 +68,7 @@ TEST(Xbar, LargePacketsOccupyThePortLonger) {
 }
 
 TEST(Xbar, InjectionQueueBackpressure) {
-  XbarChannel<MemRequest> net(1, 1, SmallNoc(),
-                              [](const MemRequest&) { return 8u; });
+  XbarChannel<MemRequest, FixedBytes<8>> net(1, 1, SmallNoc());
   EXPECT_TRUE(net.Inject(0, 0, Req(0x1000, 0x1)));
   EXPECT_TRUE(net.Inject(0, 0, Req(0x2000, 0x1)));
   EXPECT_FALSE(net.Inject(0, 0, Req(0x3000, 0x1)));  // depth 2
@@ -75,8 +78,7 @@ TEST(Xbar, InjectionQueueBackpressure) {
 TEST(Xbar, EjectionQueueBoundsInFlight) {
   NocConfig cfg = SmallNoc();
   cfg.output_queue_depth = 1;
-  XbarChannel<MemRequest> net(2, 1, cfg,
-                              [](const MemRequest&) { return 8u; });
+  XbarChannel<MemRequest, FixedBytes<8>> net(2, 1, cfg);
   ASSERT_TRUE(net.Inject(0, 0, Req(0x1000, 0x1)));
   ASSERT_TRUE(net.Inject(1, 0, Req(0x2000, 0x1)));
   for (Cycle now = 0; now < 20; ++now) net.Tick(now);
@@ -89,8 +91,7 @@ TEST(Xbar, EjectionQueueBoundsInFlight) {
 }
 
 TEST(Xbar, RoundRobinIsFairAcrossInputs) {
-  XbarChannel<MemRequest> net(2, 1, SmallNoc(),
-                              [](const MemRequest&) { return 32u; });
+  XbarChannel<MemRequest, FixedBytes<32>> net(2, 1, SmallNoc());
   unsigned delivered_from[2] = {0, 0};
   Cycle now = 0;
   for (unsigned round = 0; round < 50; ++round) {
@@ -220,6 +221,10 @@ class RefXbar {
   static unsigned PacketBytes(const MemRequest& r) {
     return 8 + PopCount(r.sector_mask) * 32;
   }
+  /// PacketBytes as the channel's wire-size type.
+  struct WireSize {
+    unsigned operator()(const MemRequest& r) const { return PacketBytes(r); }
+  };
 
  private:
   struct Flit {
@@ -262,7 +267,7 @@ void RunDifferential(unsigned inputs, unsigned outputs, const NocConfig& cfg,
   const std::string shape = std::to_string(inputs) + "x" +
                             std::to_string(outputs) + " seed " +
                             std::to_string(seed);
-  XbarChannel<MemRequest> net(inputs, outputs, cfg, RefXbar::PacketBytes);
+  XbarChannel<MemRequest, RefXbar::WireSize> net(inputs, outputs, cfg);
   RefXbar ref(inputs, outputs, cfg);
   Rng rng(seed);
   Addr next_id = 1;

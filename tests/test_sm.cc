@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
 #include "analytical/cache_prepass.h"
 #include "analytical/mem_model.h"
 #include "config/presets.h"
@@ -215,6 +218,204 @@ TEST(SmCore, NextWakeAdvancesPastStalls) {
   const Cycle wake = h.sm.NextWake();
   EXPECT_GT(wake, now + 10);  // sleeps toward the load completion event
   EXPECT_NE(wake, kNever);
+}
+
+// --- Fill wakes (cycle-accurate memory) ------------------------------------
+// A one-SM stand-in for GpuModel::TickSmRange over a cycle-accurate L1:
+// misses leave the L1 miss queue each cycle and come back as fills
+// `fill_latency` cycles later, delivered before the wake gate like NoC
+// responses. `force_wake` replays the rule fills used to follow (every
+// fill wakes the SM on its cycle), the reference the sleep rule must match.
+struct FillDriver {
+  FillDriver(SimLevel level, const GpuConfig& c, bool force = false)
+      : cfg(c), force_wake(force),
+        account_skips(SelectionFor(level).alu ==
+                      AluModelKind::kCycleAccurate),
+        sm(cfg, SelectionFor(level), 0, nullptr,
+           [this](SmId) { ++completed_ctas; }) {}
+
+  void Deliver(Cycle now) {
+    while (!fills.empty() && fills.front().first <= now) {
+      sm.DeliverResponse(fills.front().second, now);
+      if (force_wake) sm.ForceWake();
+      fills.pop_front();
+    }
+  }
+
+  /// The wake gate and the miss-queue drain of one cycle.
+  void Gate(Cycle now) {
+    if (sm.NextWake() <= now || (account_skips && sm.CapacityWakeDue())) {
+      sm.Tick(now);
+      ++ticks;
+    } else if (account_skips || sm.SleptThroughFill(now)) {
+      sm.AccountSkippedCycles(1);
+    }
+    auto& mq = sm.l1()->miss_queue();
+    for (; !mq.empty(); mq.pop_front()) {
+      const MemRequest& r = mq.front();
+      if (r.is_store()) continue;
+      fills.emplace_back(now + fill_latency,
+                         MemResponse{r.id, r.line_addr, r.sector_mask, r.sm});
+    }
+  }
+
+  void Step(Cycle now) {
+    Deliver(now);
+    Gate(now);
+  }
+
+  /// Steps until the first outstanding fill is due; returns its cycle.
+  Cycle RunToFirstFill(Cycle now) {
+    for (; fills.empty() || now < fills.front().first; ++now) Step(now);
+    return now;
+  }
+
+  Cycle RunToIdle(Cycle now, Cycle limit = 100'000) {
+    for (; !sm.Idle() && now < limit; ++now) Step(now);
+    return now;
+  }
+
+  GpuConfig cfg;
+  bool force_wake;
+  bool account_skips;  // cycle-accurate ALU with cycle skipping on
+  unsigned completed_ctas = 0;
+  SmCore sm;
+  std::deque<std::pair<Cycle, MemResponse>> fills;
+  Cycle fill_latency = 60;
+  std::uint64_t ticks = 0;
+};
+
+/// One warp: a load into r9 from each line of `lines` (one line per load),
+/// an FFMA consuming the first, then exit.
+WarpTrace LoadWarp(std::initializer_list<Addr> lines) {
+  WarpTrace w;
+  WarpEmitter e(&w);
+  Pc pc = 0x100;
+  std::uint8_t dst = 9;
+  for (const Addr line : lines) {
+    e.Mem(pc, Opcode::kLdGlobal, dst++, {2}, kFullMask,
+          CoalescedAddrs(line, 4));
+    pc += 8;
+  }
+  e.Alu(pc, Opcode::kFFma, 30, {9, 9, 30});
+  e.Exit(pc + 8);
+  return w;
+}
+
+TEST(SmCoreFill, SleepingSmIsNotTickedOnTheFillCycle) {
+  FillDriver d(SimLevel::kDetailed, OneSmGpu());
+  const auto k = MakeKernel({LoadWarp({0x10000000})});
+  d.sm.OnKernelStart(1);
+  d.sm.LaunchCta(*k, 0);
+  const Cycle fill = d.RunToFirstFill(0);
+  ASSERT_GT(d.sm.NextWake(), fill + 1);  // asleep on the outstanding load
+  const std::uint64_t ticks = d.ticks;
+  const std::uint64_t stalls = d.sm.stats().stall_cycles;
+
+  d.Deliver(fill);
+  // No LD/ST unit has an injection pending: the SM sleeps on, waking when
+  // the fill's waiter response leaves the L1 latency pipe.
+  EXPECT_TRUE(d.sm.SleptThroughFill(fill));
+  EXPECT_EQ(d.sm.NextWake(), fill + 1);
+  d.Gate(fill);
+  EXPECT_EQ(d.ticks, ticks);
+  EXPECT_EQ(d.sm.stats().stall_cycles, stalls + 1);  // the elided tick's
+
+  d.RunToIdle(fill + 1);
+  EXPECT_TRUE(d.sm.Idle());
+  EXPECT_EQ(d.completed_ctas, 1u);
+}
+
+TEST(SmCoreFill, BlockedInjectionStillForceWakes) {
+  // One MSHR entry: the second load's injection is rejected (MSHRs full)
+  // until the first load's fill frees the entry.
+  GpuConfig cfg = OneSmGpu();
+  cfg.l1.mshr_entries = 1;
+  for (const SimLevel level : {SimLevel::kDetailed, SimLevel::kSwiftSimBasic}) {
+    SCOPED_TRACE(ToString(level));
+    FillDriver d(level, cfg);
+    const auto k = MakeKernel({LoadWarp({0x10000000, 0x20000000})});
+    d.sm.OnKernelStart(1);
+    d.sm.LaunchCta(*k, 0);
+    const Cycle fill = d.RunToFirstFill(0);
+    ASSERT_GT(d.sm.l1_stats()->mshr_stalls, 0u);
+    if (level == SimLevel::kDetailed) {
+      // Capacity sleep: the blocked unit needs no retry until the fill.
+      EXPECT_GT(d.sm.NextWake(), fill);
+    } else {
+      // Hybrid ALU keeps the per-cycle retry pin: the SM is already due.
+      EXPECT_LE(d.sm.NextWake(), fill);
+    }
+    d.Deliver(fill);
+    EXPECT_FALSE(d.sm.SleptThroughFill(fill));
+    EXPECT_LE(d.sm.NextWake(), fill);
+    const std::uint64_t ticks = d.ticks;
+    d.Gate(fill);
+    EXPECT_EQ(d.ticks, ticks + 1);  // retries on the fill's cycle
+    d.RunToIdle(fill + 1);
+    EXPECT_EQ(d.completed_ctas, 1u);
+  }
+}
+
+/// Runs `k` under the sleep rule and under forced fill wakes; both must
+/// finish on the same cycle with the same issue, stall and L1 statistics.
+/// Returns {ticks with the sleep rule, ticks with forced wakes}.
+std::pair<std::uint64_t, std::uint64_t> CompareFillRules(
+    const KernelTrace& k, SimLevel level, const GpuConfig& cfg) {
+  FillDriver sleep(level, cfg);
+  FillDriver forced(level, cfg, /*force=*/true);
+  for (FillDriver* d : {&sleep, &forced}) {
+    d->sm.OnKernelStart(1);
+    d->sm.LaunchCta(k, 0);
+  }
+  EXPECT_EQ(sleep.RunToIdle(0), forced.RunToIdle(0));
+  EXPECT_EQ(sleep.completed_ctas, 1u);
+  const SmStats& a = sleep.sm.stats();
+  const SmStats& b = forced.sm.stats();
+  EXPECT_EQ(a.issued_instrs, b.issued_instrs);
+  EXPECT_EQ(a.active_cycles, b.active_cycles);
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
+  const CacheStats& la = *sleep.sm.l1_stats();
+  const CacheStats& lb = *forced.sm.l1_stats();
+  EXPECT_EQ(la.hits, lb.hits);
+  EXPECT_EQ(la.misses, lb.misses);
+  EXPECT_EQ(la.mshr_merges, lb.mshr_merges);
+  EXPECT_EQ(la.mshr_stalls, lb.mshr_stalls);
+  EXPECT_EQ(la.bank_conflicts, lb.bank_conflicts);
+  return {sleep.ticks, forced.ticks};
+}
+
+TEST(SmCoreFill, SleepRuleMatchesForcedWakeStatistics) {
+  // Eight warps over the four sub-cores, each streaming loads from its own
+  // lines, with and without MSHR pressure. The sleep rule must tick less
+  // and count the same; a two-level scheduler's probe mutates its state,
+  // so its fills keep forcing the tick.
+  std::vector<WarpTrace> warps;
+  for (Addr w = 0; w < 8; ++w) {
+    const Addr base = 0x10000000 + w * 0x100000;
+    warps.push_back(LoadWarp({base, base + 0x1000, base + 0x2000,
+                              base + 0x3000, base + 0x4000}));
+  }
+  const auto k = MakeKernel(warps);
+  for (const SimLevel level : {SimLevel::kDetailed, SimLevel::kSwiftSimBasic}) {
+    for (const unsigned mshrs : {256u, 3u}) {
+      for (const SchedPolicy policy :
+           {SchedPolicy::kGto, SchedPolicy::kTwoLevel}) {
+        SCOPED_TRACE(ToString(level) + " mshr " + std::to_string(mshrs) +
+                     " policy " + ToString(policy));
+        GpuConfig cfg = OneSmGpu();
+        cfg.l1.mshr_entries = mshrs;
+        cfg.sched_policy = policy;
+        const auto [sleep_ticks, forced_ticks] =
+            CompareFillRules(*k, level, cfg);
+        if (policy == SchedPolicy::kTwoLevel) {
+          EXPECT_EQ(sleep_ticks, forced_ticks);
+        } else {
+          EXPECT_LT(sleep_ticks, forced_ticks);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
