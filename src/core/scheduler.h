@@ -25,11 +25,13 @@ class WarpScheduler {
   /// Picks the next warp slot to issue from. `ready(slot)` must be a pure
   /// predicate ("could slot issue this cycle?"); `age(slot)` returns the
   /// warp's launch sequence number (lower == older). Returns kNoSlot when
-  /// nothing is ready. `live` holds every slot that could be ready (the
-  /// owner's valid, unfinished, non-waiting warps): GTO and LRR probe only
-  /// its members, in their usual order, so the pick equals the set-free
-  /// one whenever no slot outside `live` is ready. Two-level probing keeps
-  /// its own order over all slots, since it also promotes waiting warps.
+  /// nothing is ready. `live` is the owner's candidate set: every slot
+  /// outside it must fail `ready` with no side effect (SmCore keeps out
+  /// warps that are finished, waiting, without fetched instructions or
+  /// scoreboard-blocked). GTO and LRR probe only its members, in their
+  /// usual order, so the pick equals the set-free one. Two-level probing
+  /// keeps its own order over all slots, since it also promotes waiting
+  /// warps.
   /// Templated over the callables so the per-pick call in SmCore::Tick
   /// never materializes a std::function (heap-allocating capture) on the
   /// hot path.

@@ -66,7 +66,15 @@ class SmemConflictCounter {
   }
 
  private:
+  /// Bank of a 4-byte word: a mask when the bank count is a power of two
+  /// (the shipped presets), a modulo otherwise.
+  unsigned Bank(Addr word) const {
+    return static_cast<unsigned>(pow2_banks_ ? word & (banks_ - 1)
+                                             : word % banks_);
+  }
+
   unsigned banks_;
+  bool pow2_banks_;
   std::vector<std::uint8_t> bank_count_;  // per-bank distinct-word counts
   Addr words_[kWarpSize];                 // distinct words seen this call
 };

@@ -159,21 +159,38 @@ void SmCore::OnKernelStart(unsigned active_sms) {
 void SmCore::Writeback(unsigned slot, std::uint8_t dst) {
   scoreboard_.OnWriteback(slot, dst);
   // The slot's pending set shrank: a cached scoreboard block may no
-  // longer hold, so the next readiness scan must re-evaluate it.
-  sb_blocked_[slot] = 0;
+  // longer hold, so the warp is a candidate again for the next readiness
+  // scan to re-evaluate.
+  if (sb_blocked_[slot]) {
+    sb_blocked_[slot] = 0;
+    RefreshLive(slot);
+  }
 }
 
 void SmCore::RefreshLive(unsigned slot) {
   const WarpContext& w = warps_[slot];
   const unsigned n_sc = static_cast<unsigned>(subcores_.size());
-  subcores_[slot % n_sc].live.Assign(
-      slot / n_sc, w.valid && !w.done && !w.at_barrier && !w.exhausted());
+  const bool candidate =
+      w.valid && !w.done && !w.at_barrier && !w.exhausted() &&
+      (sel_.frontend != FrontendKind::kDetailed || w.ibuffer > 0) &&
+      (sel_.silicon_effects || !sb_blocked_[slot]);
+  subcores_[slot % n_sc].live.Assign(slot / n_sc, candidate);
+}
+
+void SmCore::BlockOnScoreboard(unsigned slot) {
+  sb_blocked_[slot] = 1;
+  // At silicon WarpReady records the i-cache wake hint before its
+  // scoreboard test, so a blocked warp stays a candidate there.
+  if (!sel_.silicon_effects) {
+    const unsigned n_sc = static_cast<unsigned>(subcores_.size());
+    subcores_[slot % n_sc].live.Erase(slot / n_sc);
+  }
 }
 
 bool SmCore::WarpReady(unsigned slot, Cycle now) {
   WarpContext& w = warps_[slot];
-  // Exactly the slots outside the live sets fail here, before any side
-  // effect, which is what lets GTO and LRR probe only live slots.
+  // Exactly the slots outside the candidate sets fail here, before any
+  // side effect, which is what lets GTO and LRR probe only candidates.
   if (!w.valid || w.done || w.at_barrier || w.exhausted()) return false;
   if (sel_.frontend == FrontendKind::kDetailed) {
     if (w.ibuffer == 0) return false;
@@ -187,16 +204,18 @@ bool SmCore::WarpReady(unsigned slot, Cycle now) {
   // A warp blocked on the scoreboard stays blocked until a writeback to
   // its slot (nothing else shrinks its pending set, and its current
   // instruction cannot advance while unissuable), so the cached verdict
-  // short-circuits re-evaluation; Writeback clears it.
+  // short-circuits re-evaluation; Writeback clears it. fetch_ready is set
+  // only with silicon effects, so elsewhere a blocked warp fails here
+  // before any side effect.
   if (sb_blocked_[slot]) return false;
   if (!scoreboard_.CanIssue(slot, ins)) {
-    sb_blocked_[slot] = 1;
+    BlockOnScoreboard(slot);
     return false;
   }
   if (IsExit(ins.op)) {
     // A warp only retires once all its loads wrote back.
     if (scoreboard_.PendingCount(slot) != 0) {
-      sb_blocked_[slot] = 1;
+      BlockOnScoreboard(slot);
       return false;
     }
     return true;
@@ -399,7 +418,7 @@ void SmCore::FrontendTick(SubCore& sc, unsigned sc_idx, Cycle now) {
     if (now < w.fetch_ready) {
       continue;  // i-cache miss in flight for this warp
     }
-    w.ibuffer++;
+    if (w.ibuffer++ == 0) RefreshLive(slot);  // may rejoin the candidates
     w.fetch_count++;
     if (w.ibuffer >= 2) {
       SS_DCHECK(fetchable_ > 0);
@@ -496,9 +515,10 @@ bool SmCore::Tick(Cycle now) {
           --bus;
         }
       }
-      // Operand collection: bank arbitration, then dispatch collected ops
-      // into their (free) execution pipelines.
-      sc.collector->Tick(now);
+      // Operand collection: bank arbitration (an idle collector has
+      // nothing to arbitrate), then dispatch collected ops into their
+      // (free) execution pipelines.
+      if (sc.collector->busy()) sc.collector->Tick(now);
       auto& ready = sc.collector->ready();
       for (std::size_t i = 0; i < ready.size();) {
         ExecPipeline& pipe = PipelineFor(sc, ready[i].cls);
@@ -566,10 +586,12 @@ bool SmCore::Tick(Cycle now) {
   // successor instruction may be ready immediately, and warps behind the
   // pick in rotor order were never evaluated, so their wake hints are
   // missing. Progress WITHOUT an issue (responses routed, writebacks
-  // retired) is different: every scheduler's Pick scanned every warp to
-  // conclude nothing was issuable — after all state changes of this tick
-  // had already landed — so the hint set is complete and the computed
-  // wake below is exact, letting the SM sleep right after servicing.
+  // retired) is different: every scheduler's Pick probed every candidate
+  // warp to conclude nothing was issuable — after all state changes of
+  // this tick had already landed — and the warps outside the candidate
+  // sets fail WarpReady before recording any hint, so the hint set is
+  // complete and the computed wake below is exact, letting the SM sleep
+  // right after servicing.
   if (issued_any) {
     next_wake_ = now + 1;
     return true;

@@ -165,6 +165,15 @@ class SmCore {
   /// and the wake-calendar entry.
   void DumpState(std::ostream& os) const;
 
+  /// Read-only views of the issue-scan state, for invariant tests.
+  const WarpContext& warp(unsigned slot) const { return warps_[slot]; }
+  bool scoreboard_blocked(unsigned slot) const {
+    return sb_blocked_[slot] != 0;
+  }
+  const IndexSet& candidates(unsigned sub_core) const {
+    return subcores_[sub_core].live;
+  }
+
  private:
   struct ResidentCta {
     bool valid = false;
@@ -193,16 +202,24 @@ class SmCore {
     Cycle ana_ldst_next_issue = 0;
     unsigned ana_ldst_inflight = 0;
     unsigned fetch_rr = 0;  // detailed-frontend fetch rotor
-    // Local slots (slot / sub-core count) whose warp is valid, unfinished,
-    // not at a barrier and not exhausted; see RefreshLive.
+    // Candidate set: local slots (slot / sub-core count) whose warp could
+    // pass WarpReady. Its warp is valid, unfinished, not at a barrier and
+    // not exhausted; at the detailed front end its i-buffer is not empty;
+    // except at silicon it is not scoreboard-blocked. See RefreshLive.
     IndexSet live;
   };
 
   void Writeback(unsigned slot, std::uint8_t dst);
-  /// Re-derives `slot`'s membership in its sub-core's live set. Called at
-  /// every event that can change it: launch, issue, barrier release.
+  /// Re-derives `slot`'s membership in its sub-core's candidate set.
+  /// Called at every event that can add or drop it: launch, issue, barrier
+  /// release, a fetch into an empty i-buffer, and a writeback that clears
+  /// a scoreboard block. WarpReady drops the slots it finds blocked
+  /// (BlockOnScoreboard).
   void RefreshLive(unsigned slot);
   bool WarpReady(unsigned slot, Cycle now);
+  /// Caches `slot`'s scoreboard block and, except at silicon, takes it out
+  /// of the candidate set until the writeback that clears the block.
+  void BlockOnScoreboard(unsigned slot);
   void IssueInstr(unsigned slot, Cycle now);
   void IssueControl(unsigned slot, const CompactInstr& ins);
   void IssueAlu(unsigned slot, const CompactInstr& ins, Cycle now);

@@ -10,6 +10,7 @@
 
 #include "analytical/cache_prepass.h"
 #include "analytical/mem_model.h"
+#include "common/rng.h"
 #include "config/presets.h"
 #include "workloads/patterns.h"
 
@@ -416,6 +417,226 @@ TEST(SmCoreFill, SleepRuleMatchesForcedWakeStatistics) {
       }
     }
   }
+}
+
+// --- Candidate sets ---------------------------------------------------------
+// Each sub-core's candidate set holds exactly the warps that could pass
+// WarpReady; GTO and LRR probe only its members. The predicate below is
+// the contract, recomputed from warp state.
+
+bool CandidateFromState(const SmCore& sm, SimLevel level, unsigned slot) {
+  const ModelSelection sel = SelectionFor(level);
+  const WarpContext& w = sm.warp(slot);
+  return w.valid && !w.done && !w.at_barrier && !w.exhausted() &&
+         (sel.frontend != FrontendKind::kDetailed || w.ibuffer > 0) &&
+         (sel.silicon_effects || !sm.scoreboard_blocked(slot));
+}
+
+void ExpectCandidatesExact(const SmCore& sm, const GpuConfig& cfg,
+                           SimLevel level, Cycle now) {
+  const unsigned n_sc = cfg.sub_cores_per_sm;
+  for (unsigned slot = 0; slot < cfg.max_warps_per_sm; ++slot) {
+    ASSERT_EQ(sm.candidates(slot % n_sc).Contains(slot / n_sc),
+              CandidateFromState(sm, level, slot))
+        << "slot " << slot << " after cycle " << now;
+  }
+}
+
+/// A random kernel: every CTA has `warps` warps of dependent and
+/// independent ALU ops over a small register window, global loads and
+/// stores (coalesced and scattered), shared loads, and `bars` barriers at
+/// the same points in every warp of the CTA, then exit.
+std::shared_ptr<KernelTrace> RandomKernel(Rng& rng, unsigned ctas,
+                                          unsigned warps, unsigned len,
+                                          unsigned bars) {
+  std::vector<CtaTrace> variants(ctas);
+  for (CtaTrace& cta : variants) {
+    for (unsigned wi = 0; wi < warps; ++wi) {
+      WarpTrace w;
+      WarpEmitter e(&w);
+      Pc pc = 0x100;
+      unsigned next_bar = 1;
+      for (unsigned i = 0; i < len; ++i, pc += 8) {
+        if (next_bar <= bars && i == len * next_bar / (bars + 1)) {
+          e.Bar(pc);
+          pc += 8;
+          ++next_bar;
+        }
+        const auto reg = [&] {
+          return static_cast<std::uint8_t>(8 + rng.Below(6));
+        };
+        const std::uint8_t dst = reg();
+        const std::uint8_t a = reg();
+        const Addr region = 0x10000000 + rng.Below(4) * 0x100000;
+        switch (rng.Below(7)) {
+          case 0:
+            e.Alu(pc, Opcode::kIAdd, dst, {a});
+            break;
+          case 1:
+            e.Alu(pc, Opcode::kFFma, dst, {a, reg(), dst});
+            break;
+          case 2:
+            e.Alu(pc, rng.Below(2) ? Opcode::kDFma : Opcode::kRcp, dst, {a});
+            break;
+          case 3:
+            e.Mem(pc, Opcode::kLdGlobal, dst, {a}, kFullMask,
+                  CoalescedAddrs(region + rng.Below(64) * 128, 4));
+            break;
+          case 4:
+            e.Mem(pc, Opcode::kLdGlobal, dst, {a}, kFullMask,
+                  RandomAddrs(rng, region, 1 << 16, 4));
+            break;
+          case 5:
+            e.Mem(pc, Opcode::kStGlobal, kNoReg, {a}, kFullMask,
+                  CoalescedAddrs(region + rng.Below(64) * 128, 4));
+            break;
+          default:
+            e.Mem(pc, Opcode::kLdShared, dst, {a}, kFullMask,
+                  StridedAddrs(rng.Below(256) * 4, 4 << rng.Below(3)));
+            break;
+        }
+      }
+      e.Exit(pc);
+      cta.warps.push_back(std::move(w));
+    }
+  }
+  KernelInfo info;
+  info.name = "random";
+  info.num_ctas = ctas;
+  info.warps_per_cta = warps;
+  info.threads_per_cta = warps * kWarpSize;
+  return std::make_shared<KernelTrace>(info, std::move(variants));
+}
+
+TEST(SmCandidates, SetsMatchWarpStateAfterEveryTick) {
+  for (const SimLevel level :
+       {SimLevel::kDetailed, SimLevel::kSwiftSimBasic,
+        SimLevel::kSwiftSimMemory, SimLevel::kSilicon}) {
+    for (const SchedPolicy policy : {SchedPolicy::kGto, SchedPolicy::kLrr}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(ToString(level) + " " + ToString(policy) + " seed " +
+                     std::to_string(seed));
+        Rng rng(seed);
+        GpuConfig cfg = OneSmGpu();
+        cfg.sched_policy = policy;
+        cfg.l1.mshr_entries = 8;  // capacity blocks as well as latency
+        const auto k =
+            RandomKernel(rng, 4, 2 + rng.Below(6), 40, rng.Below(3));
+        const auto launch = [&](SmCore& sm) {
+          sm.OnKernelStart(1);
+          for (CtaId id = 0; id < k->info().num_ctas; ++id) {
+            ASSERT_TRUE(sm.CanTakeCta(k->info()));
+            sm.LaunchCta(*k, id);
+          }
+          ExpectCandidatesExact(sm, cfg, level, 0);
+        };
+        Cycle now = 0;
+        if (level == SimLevel::kSwiftSimMemory) {
+          MemProfile profile;
+          AnalyticalMemModel mem_model{cfg, &profile};
+          unsigned done = 0;
+          SmCore sm(cfg, SelectionFor(level), 0, &mem_model,
+                    [&done](SmId) { ++done; });
+          launch(sm);
+          for (; !sm.Idle() && now < 200'000; ++now) {
+            if (sm.NextWake() > now) continue;
+            sm.Tick(now);
+            ExpectCandidatesExact(sm, cfg, level, now);
+            if (HasFatalFailure()) return;
+          }
+          EXPECT_EQ(done, k->info().num_ctas);
+        } else {
+          FillDriver d(level, cfg);
+          launch(d.sm);
+          for (; !d.sm.Idle() && now < 200'000; ++now) {
+            d.Step(now);
+            ExpectCandidatesExact(d.sm, cfg, level, now);
+            if (HasFatalFailure()) return;
+          }
+          EXPECT_EQ(d.completed_ctas, k->info().num_ctas);
+        }
+        EXPECT_LT(now, Cycle{200'000});
+      }
+    }
+  }
+}
+
+TEST(SmCandidates, BlockedWarpReentersOnItsWriteback) {
+  // One warp: a load, an FFMA waiting on it, exit. The FFMA's scoreboard
+  // block takes the warp out of the set; the load's writeback puts it
+  // back, so it issues on the writeback's own cycle.
+  SmHarness h;
+  WarpTrace w;
+  WarpEmitter e(&w);
+  e.Mem(0x100, Opcode::kLdGlobal, 9, {2}, kFullMask,
+        CoalescedAddrs(0x10000000, 4));
+  e.Alu(0x108, Opcode::kFFma, 10, {9, 9, 10});
+  e.Exit(0x110);
+  const auto k = MakeKernel({w});
+  h.sm.OnKernelStart(1);
+  h.sm.LaunchCta(*k, 0);
+  EXPECT_TRUE(h.sm.candidates(0).Contains(0));
+  h.sm.Tick(0);  // issues the load
+  h.sm.Tick(1);  // the FFMA blocks on r9
+  EXPECT_TRUE(h.sm.scoreboard_blocked(0));
+  EXPECT_FALSE(h.sm.candidates(0).Contains(0));
+  const Cycle writeback = h.sm.NextWake();  // the load's completion event
+  ASSERT_GT(writeback, Cycle{2});
+  ASSERT_NE(writeback, kNever);
+  h.sm.Tick(writeback);
+  EXPECT_EQ(h.sm.stats().issued_instrs, 2u);  // the FFMA issued
+  EXPECT_FALSE(h.sm.scoreboard_blocked(0));
+  EXPECT_TRUE(h.sm.candidates(0).Contains(0));  // EXIT is next
+}
+
+TEST(SmCandidates, SiliconBlockedWarpStillRecordsItsFetchWake) {
+  // At silicon a scoreboard-blocked warp stays in the set: WarpReady
+  // records its i-cache fill before the scoreboard test. With a full
+  // i-buffer no other hint names that cycle, so an SM that issued nothing
+  // must wake no later than the fill. Two warps per sub-core compete for
+  // fetch, so a warp can block before its next fetch misses; long fills
+  // and no ALU work in flight leave that fill the earliest wake.
+  GpuConfig cfg = OneSmGpu();
+  cfg.effects.icache_miss_rate = 0.5;
+  cfg.effects.icache_miss_penalty = 30;
+  std::vector<WarpTrace> warps;
+  for (Addr wi = 0; wi < 8; ++wi) {
+    WarpTrace w;
+    WarpEmitter e(&w);
+    Pc pc = 0x100;
+    for (Addr i = 0; i < 4; ++i, pc += 16) {
+      e.Mem(pc, Opcode::kLdGlobal, 9, {2}, kFullMask,
+            CoalescedAddrs(0x10000000 + wi * 0x100000 + i * 0x1000, 4));
+      e.Alu(pc + 8, Opcode::kFFma, 10, {9, 9, 10});
+    }
+    e.Exit(pc);
+    warps.push_back(std::move(w));
+  }
+  const auto k = MakeKernel(warps);
+  FillDriver d(SimLevel::kSilicon, cfg);
+  d.fill_latency = 200;
+  d.sm.OnKernelStart(1);
+  d.sm.LaunchCta(*k, 0);
+  unsigned binding = 0;  // checks where that fill was the SM's next wake
+  for (Cycle now = 0; !d.sm.Idle() && now < 100'000; ++now) {
+    const std::uint64_t issued = d.sm.stats().issued_instrs;
+    const std::uint64_t ticks = d.ticks;
+    d.Step(now);
+    if (d.ticks == ticks || d.sm.stats().issued_instrs != issued) continue;
+    for (unsigned slot = 0; slot < cfg.max_warps_per_sm; ++slot) {
+      const WarpContext& w = d.sm.warp(slot);
+      if (!CandidateFromState(d.sm, SimLevel::kSilicon, slot) ||
+          !d.sm.scoreboard_blocked(slot) || w.ibuffer < 2 ||
+          w.fetch_ready <= now + 1) {
+        continue;
+      }
+      EXPECT_LE(d.sm.NextWake(), w.fetch_ready) << "slot " << slot;
+      if (d.sm.NextWake() == w.fetch_ready) ++binding;
+    }
+  }
+  EXPECT_TRUE(d.sm.Idle());
+  EXPECT_EQ(d.completed_ctas, 1u);
+  EXPECT_GT(binding, 0u);  // the case was exercised
 }
 
 }  // namespace
