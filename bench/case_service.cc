@@ -7,14 +7,13 @@
 //   warm     the same jobs resubmitted to the same daemon — served from
 //            the process-global MemoCache/ProfileCache/trace caches
 //   burst    identical jobs submitted back-to-back under a never-seen
-//            config — exercises request coalescing (one simulation fans
-//            out to every submitter)
+//            config — cold twins simulating concurrently
 //   reload   a second daemon started on the first one's --memo-file —
 //            warm throughput across process restarts
 //
 // Every daemon-reported cycle count must equal an in-process one-shot
-// run of the same (workload, config, level), coalesced fan-outs and
-// post-reload replays included; the case exits non-zero otherwise.
+// run of the same (workload, config, level), burst twins and post-reload
+// replays included; the case exits non-zero otherwise.
 //
 // --smoke: shrunk shape gating CI — warm throughput must beat cold by
 // >= 10x.
@@ -41,6 +40,7 @@
 #include "common/json.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "config/ini.h"
 #include "swiftsim/simulator.h"
 #include "swiftsim/supervisor.h"
 #include "swiftsim_bench.h"
@@ -60,14 +60,16 @@ struct Checks {
   }
 };
 
-/// The in-process one-shot cycles of `name` repeated `iterations` times:
-/// the bit-identity oracle for the daemon (same workload, config, level).
+/// The in-process one-shot cycles of `name` repeated `iterations` times
+/// on the default machine with `config_ini` applied: the bit-identity
+/// oracle for the daemon (same workload, config, level).
 Cycle ReferenceCycles(const std::string& name, const BenchOptions& opt,
-                      unsigned iterations) {
+                      unsigned iterations, const std::string& config_ini = "") {
   const Application app =
       RepeatLaunches(BuildWorkload(name, {opt.scale, opt.seed}), iterations);
-  return RunSimulation(app, GpuConfig(), SimLevel::kSwiftSimMemory)
-      .total_cycles;
+  const GpuConfig cfg =
+      GpuConfig::FromIni(IniFile::ParseString(config_ini), GpuConfig());
+  return RunSimulation(app, cfg, SimLevel::kSwiftSimMemory).total_cycles;
 }
 
 /// One response line, decoded into the run record it reports (app from
@@ -92,9 +94,6 @@ Reply DecodeReply(const std::string& line) {
   for (const auto& [key, counter] : {std::pair{"memo_hits", "memo.hits"},
                                      {"memo_misses", "memo.misses"}}) {
     if (const JsonValue* f = v.Find(key)) rec.Count(counter, f->AsUint());
-  }
-  if (const JsonValue* f = v.Find("coalesced")) {
-    rec.Count("coalesced", f->AsBool() ? 1 : 0);
   }
   return r;
 }
@@ -394,23 +393,23 @@ int RunService(Bench& b) {
   const Phase warm = RunPhase(daemon_a, requests(opt.apps, "warm", repeats));
   check_replies(warm, "warm", true);
 
-  // --- Coalescing burst: identical jobs under a never-seen config --------
+  // --- Burst: identical jobs under a never-seen config ------------------
+  // The twins arrive cold together, so several simulate at once and race to
+  // record the same memo entries; every reply must still match the one-shot
+  // run.
   const std::string burst_app = opt.apps.front();
-  const Phase burst = RunPhase(
-      daemon_a, requests({burst_app}, "burst", 8, "[gpu]\nnum_sms = 35\n"));
-  std::size_t coalesced_count = 0;
-  Cycle burst_cycles = 0;
+  const std::string burst_config = "[gpu]\nnum_sms = 35\n";
+  const Cycle burst_want =
+      ReferenceCycles(burst_app, opt, kIterations, burst_config);
+  const Phase burst =
+      RunPhase(daemon_a, requests({burst_app}, "burst", 8, burst_config));
   for (const auto& [id, r] : burst.replies) {
     check(r.ok, "burst reply " + id + " failed: " + r.record.error);
     if (!r.ok) continue;
-    if (r.record.Counter("coalesced") != 0) ++coalesced_count;
-    if (burst_cycles == 0) burst_cycles = r.record.cycles;
-    check(r.record.cycles == burst_cycles,
-          "burst replies disagree on cycles (coalesced fan-out must be "
-          "bit-identical)");
+    check(r.record.cycles == burst_want,
+          "burst reply " + id + " cycles " + std::to_string(r.record.cycles) +
+              " != one-shot reference " + std::to_string(burst_want));
   }
-  check(coalesced_count >= 1,
-        "no burst request coalesced (expected >= 1 of 8 identical jobs)");
 
   int exit_a = daemon_a.Shutdown();
   check(exit_a == 0, "daemon A exited with status " + std::to_string(exit_a));
@@ -452,10 +451,8 @@ int RunService(Bench& b) {
   report("cold", cold, true);
   report("warm", warm, true);
   report("reload", reload, false);
-  std::printf("warm vs cold throughput: %.1fx (coalesced %zu/8 burst jobs)\n",
-              speedup, coalesced_count);
+  std::printf("warm vs cold throughput: %.1fx\n", speedup);
   summary.Count("warm_speedup_vs_cold", speedup);
-  summary.Count("burst_coalesced", static_cast<double>(coalesced_count));
 
   if (smoke) {
     check(speedup >= 10.0,
@@ -483,7 +480,7 @@ int RunService(Bench& b) {
     std::printf("\nservice: FAILURES detected\n");
     return 1;
   }
-  std::printf("\nservice: all identity/coalescing checks passed\n");
+  std::printf("\nservice: all identity checks passed\n");
   return 0;
 }
 

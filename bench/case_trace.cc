@@ -4,15 +4,12 @@
 //   - columnar trace bytes and bytes/instr, against the AoS baseline of
 //     sizeof(TraceInstr) per instruction (what the pre-columnar storage
 //     paid for every record, addresses inline);
-//   - cold generation wall time, serial vs parallel per-variant streaming
-//     (the seed generator was serial AoS, so serial time is the cold-run
-//     baseline a user upgraded from);
+//   - cold generation wall time (variants filled on the shared pool);
 //   - compact on-disk cache round-trip: write, then load and fingerprint-
 //     check the reloaded application against the generated one.
 //
 // --smoke turns the measurements into a CI gate: every app must compress
-// to <= 1/3 of the AoS bytes/instr, the parallel cold run must beat the
-// serial baseline by >= 1.5x in aggregate, and every cache reload must be
+// to <= 1/3 of the AoS bytes/instr, and every cache reload must be
 // bit-identical.
 #include <chrono>
 #include <cstdio>
@@ -21,7 +18,6 @@
 
 #include "swiftsim_bench.h"
 #include "trace/fingerprint.h"
-#include "workloads/gen_util.h"
 
 namespace swiftsim::bench {
 
@@ -50,25 +46,13 @@ int RunTrace(Bench& b) {
   TraceBuildOptions cache_opts;
   cache_opts.cache_dir = cache_dir.string();
 
-  double serial_total = 0, parallel_total = 0;
   bool gate_ok = true;
-  std::printf("%-10s %12s %10s %10s %9s %9s %9s %9s\n", "app", "instrs",
-              "bytes", "B/instr", "vs AoS", "serial[s]", "par[s]", "load[s]");
+  std::printf("%-10s %12s %10s %10s %9s %9s %9s\n", "app", "instrs", "bytes",
+              "B/instr", "vs AoS", "build[s]", "load[s]");
   for (const std::string& name : opt.apps) {
-    // Cold generation: serial baseline first, then parallel streaming.
-    workloads::SetParallelTraceBuild(false);
     double t0 = Now();
-    const Application serial_app = BuildWorkload(name, scale);
-    const double serial_s = Now() - t0;
-    workloads::SetParallelTraceBuild(true);
-    t0 = Now();
     const Application app = BuildWorkload(name, scale);
-    const double parallel_s = Now() - t0;
-    if (FingerprintApplication(serial_app) != FingerprintApplication(app)) {
-      std::printf("ERROR: %s parallel generation diverged from serial\n",
-                  name.c_str());
-      return EXIT_FAILURE;
-    }
+    const double build_s = Now() - t0;
 
     // On-disk cache round-trip: cold write, warm fingerprint-checked load.
     std::error_code ec;
@@ -93,12 +77,10 @@ int RunTrace(Bench& b) {
         instrs > 0 ? static_cast<double>(bytes) / static_cast<double>(instrs)
                    : 0.0;
     const double reduction = bpi > 0 ? sizeof(TraceInstr) / bpi : 0.0;
-    std::printf("%-10s %12llu %10llu %10.2f %8.1fx %9.3f %9.3f %9.3f\n",
+    std::printf("%-10s %12llu %10llu %10.2f %8.1fx %9.3f %9.3f\n",
                 name.c_str(), static_cast<unsigned long long>(instrs),
                 static_cast<unsigned long long>(bytes), bpi, reduction,
-                serial_s, parallel_s, load_s);
-    serial_total += serial_s;
-    parallel_total += parallel_s;
+                build_s, load_s);
     if (smoke && reduction < 3.0) {
       std::printf("FAIL: %s bytes/instr reduction %.1fx < 3x\n", name.c_str(),
                   reduction);
@@ -109,9 +91,8 @@ int RunTrace(Bench& b) {
     r.app = name;
     r.level = "columnar";
     r.instructions = instrs;
-    r.wall_s = parallel_s;
+    r.wall_s = build_s;
     r.threads = opt.threads;
-    r.Count("serial_build_s", serial_s);
     r.Count("cache_load_s", load_s);
     r.Count("trace_bytes", static_cast<double>(bytes));
     r.Count("peak_rss_kb", static_cast<double>(PeakRssKb()));
@@ -119,14 +100,7 @@ int RunTrace(Bench& b) {
   }
   std::filesystem::remove_all(cache_dir);
 
-  const double speedup =
-      parallel_total > 0 ? serial_total / parallel_total : 0.0;
-  std::printf("%-10s AoS baseline %zu B/instr, cold-run speedup %.2fx\n",
-              "SUITE", sizeof(TraceInstr), speedup);
-  if (smoke && speedup < 1.5) {
-    std::printf("FAIL: cold-run speedup %.2fx < 1.5x\n", speedup);
-    gate_ok = false;
-  }
+  std::printf("%-10s AoS baseline %zu B/instr\n", "SUITE", sizeof(TraceInstr));
   return gate_ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 

@@ -66,9 +66,10 @@ stage_perf() {
   echo "          DSE sweep + trace compaction + persistent-service gates)"
   configure build
   cmake --build build -j "$JOBS" --target swiftsim_bench swiftsimd
-  # perf_dse_smoke, perf_trace_smoke and perf_service_smoke self-skip
-  # (exit 77) on hosts with < 4 hardware threads, where their speedup
-  # gates are meaningless.
+  # perf_dse_smoke and perf_service_smoke self-skip (exit 77) on hosts
+  # with < 4 hardware threads, where their speedup gates are
+  # meaningless. perf_trace_smoke times nothing (bytes/instr and cache
+  # reload identity only) but goes through the same --smoke skip.
   ctest --test-dir build -L perf --output-on-failure
 }
 

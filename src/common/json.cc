@@ -38,11 +38,6 @@ const std::string& JsonValue::AsString() const {
   return str_;
 }
 
-const std::vector<JsonValue>& JsonValue::AsArray() const {
-  SS_CHECK(kind_ == Kind::kArray, "JSON value is not an array");
-  return array_;
-}
-
 const std::vector<std::pair<std::string, JsonValue>>& JsonValue::Members()
     const {
   SS_CHECK(kind_ == Kind::kObject, "JSON value is not an object");
@@ -426,12 +421,6 @@ JsonWriter& JsonWriter::Double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.9g", v);
   out_ += buf;
-  return *this;
-}
-
-JsonWriter& JsonWriter::Null() {
-  Comma();
-  out_ += "null";
   return *this;
 }
 

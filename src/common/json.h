@@ -45,7 +45,6 @@ class JsonValue {
   std::uint64_t AsUint() const;
   std::int64_t AsInt() const;
   const std::string& AsString() const;
-  const std::vector<JsonValue>& AsArray() const;
 
   /// Object member list in source order.
   const std::vector<std::pair<std::string, JsonValue>>& Members() const;
@@ -103,7 +102,6 @@ class JsonWriter {
   /// JSON) serialize as 0 with no error — response fields are wall-clock
   /// seconds and ratios, where 0 is the honest degenerate value.
   JsonWriter& Double(double v);
-  JsonWriter& Null();
 
   /// Splices an already-serialized JSON fragment as one value.
   JsonWriter& Raw(std::string_view json);

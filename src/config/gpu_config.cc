@@ -152,6 +152,11 @@ void GpuConfig::Validate() const {
   Require(dram.latency >= dram.row_hit_latency,
           "dram closed-row latency must be >= row-hit latency");
   Require(dram.queue_depth > 0, "dram queue depth must be positive");
+  Require(dram.row_bytes > 0, "dram row_bytes must be positive");
+  Require(effects.writeback_bus_width > 0,
+          "effects writeback_bus_width must be positive");
+  Require(effects.dram_refresh_interval > 0,
+          "effects dram_refresh_interval must be positive");
   Require(shared_mem_banks > 0, "shared_mem_banks must be positive");
 }
 

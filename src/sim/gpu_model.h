@@ -143,9 +143,6 @@ class GpuModel {
   /// disarms. Unarmed runs take exactly one null test per guarded site.
   void ArmFaults(FaultHooks* hooks) { fault_ = hooks; }
 
-  /// True when any watchdog dimension (stall window or wall budget) is on.
-  bool WatchdogEnabled() const { return wd_enabled_; }
-
   /// One watchdog observation at simulated cycle `now`. Call after the
   /// cycle's ticks so a jump landing's progress is already visible. Throws
   /// SimHangError (after writing a diagnostic dump) when the progress

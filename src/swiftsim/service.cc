@@ -205,7 +205,6 @@ std::string EncodeResponse(const Response& r) {
       w.Key("sim_seconds").Double(r.sim_seconds);
       w.Key("wall_seconds").Double(r.wall_seconds);
       w.Key("queue_seconds").Double(r.queue_seconds);
-      w.Key("coalesced").Bool(r.coalesced);
       w.Key("memo_hits").Uint(r.memo_hits);
       w.Key("memo_misses").Uint(r.memo_misses);
       w.Key("memo_cycles_avoided").Uint(r.memo_cycles_avoided);
@@ -222,17 +221,11 @@ std::string EncodeResponse(const Response& r) {
 // ---------------------------------------------------------------------------
 
 struct SimulationService::PendingJob {
-  struct Waiter {
-    Callback done;
-    std::string id;
-    Clock::time_point submit;
-  };
-
   JobRequest job;
   GpuConfig cfg;
   RunOptions options;
-  CoalesceKey key;
-  std::vector<Waiter> waiters;  // [0] = the job that started the simulation
+  Callback done;
+  Clock::time_point submit;
 };
 
 SimulationService::SimulationService(ServiceOptions opt) : opt_(std::move(opt)) {
@@ -309,8 +302,7 @@ bool SimulationService::Submit(const JobRequest& job, Callback done,
   }
 
   // Resolve preset + sparse INI overrides into the machine this job
-  // simulates; its canonical hash is the config lane of the coalescing
-  // key. FromIni ignores unknown keys, so they are rejected here: a typo
+  // simulates. FromIni ignores unknown keys, so they are rejected here: a typo
   // would otherwise simulate the default silently. Run settings are not
   // GpuConfig keys, so a client cannot reach the daemon's caches, dump
   // directories or watchdog through its config.
@@ -329,23 +321,19 @@ bool SimulationService::Submit(const JobRequest& job, Callback done,
   } catch (const SimError& e) {
     return reject(ErrorCode::kBadConfig, e.what());
   }
+  auto pending = std::make_shared<PendingJob>();
+  pending->job = job;
+  pending->cfg = std::move(cfg);
   // The run settings come from the daemon, except the request's own wall
   // budget. Degradation routes through the resilient driver, which
   // bypasses the memoized fast path, so it stays a daemon opt-in.
-  RunOptions options;
+  RunOptions& options = pending->options;
   options.model.watchdog.stall_cycles = opt_.watchdog_cycles;
   options.model.watchdog.wall_seconds =
       job.timeout_sec >= 0 ? job.timeout_sec : opt_.default_timeout_sec;
   options.degrade_on_hang = opt_.degrade_on_hang;
-
-  CoalesceKey key;
-  key.trace_key = WorkloadBuildKey(job.workload, {job.scale, job.seed});
-  key.cfg_hash = cfg.CanonicalHash();
-  key.iterations = job.iterations;
-  key.level = static_cast<std::uint8_t>(job.level);
-  key.wall_seconds = options.model.watchdog.wall_seconds;
-
-  PendingJob::Waiter waiter{std::move(done), job.id, Clock::now()};
+  pending->done = std::move(done);
+  pending->submit = Clock::now();
 
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
@@ -356,19 +344,7 @@ bool SimulationService::Submit(const JobRequest& job, Callback done,
     ++stats_.rejected;
     return false;
   }
-  if (auto it = inflight_.find(key); it != inflight_.end()) {
-    it->second->waiters.push_back(std::move(waiter));
-    ++stats_.accepted;
-    ++stats_.coalesced;
-    return true;
-  }
-  auto pending = std::make_shared<PendingJob>();
-  pending->job = job;
-  pending->cfg = std::move(cfg);
-  pending->options = options;
-  pending->key = key;
-  pending->waiters.push_back(std::move(waiter));
-  if (!queue_->TryPush(pending)) {
+  if (!queue_->TryPush(std::move(pending))) {
     rejection->id = job.id;
     rejection->ok = false;
     rejection->error = ErrorCode::kQueueFull;
@@ -378,7 +354,6 @@ bool SimulationService::Submit(const JobRequest& job, Callback done,
     ++stats_.rejected;
     return false;
   }
-  inflight_.emplace(key, std::move(pending));
   ++stats_.accepted;
   return true;
 }
@@ -413,48 +388,31 @@ void SimulationService::LaneLoop() {
 }
 
 void SimulationService::ProcessJob(const std::shared_ptr<PendingJob>& job) {
+  const Clock::time_point start = Clock::now();
+  Response r;
+  RunJob(*job, &r);
+  r.id = job->job.id;
+  r.wall_seconds = SecondsBetween(job->submit, Clock::now());
+  r.queue_seconds = SecondsBetween(job->submit, start);
   {
-    Clock::time_point start = Clock::now();
-    Response base;
-    RunJob(*job, &base);
-    Clock::time_point end = Clock::now();
-
-    std::vector<PendingJob::Waiter> waiters;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      inflight_.erase(job->key);
-      waiters = std::move(job->waiters);
-      if (base.ok) {
-        ++stats_.completed;
-        if (base.status == "degraded") ++stats_.degraded;
-      } else if (base.error == ErrorCode::kSimTimeout) {
-        ++stats_.timeouts;
-      } else {
-        ++stats_.failures;
-      }
-      stats_.memo_hits += base.memo_hits;
-      stats_.memo_misses += base.memo_misses;
-      stats_.memo_cycles_avoided += base.memo_cycles_avoided;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (r.ok) {
+      ++stats_.completed;
+      if (r.status == "degraded") ++stats_.degraded;
+    } else if (r.error == ErrorCode::kSimTimeout) {
+      ++stats_.timeouts;
+    } else {
+      ++stats_.failures;
     }
-
-    for (std::size_t i = 0; i < waiters.size(); ++i) {
-      Response r = base;
-      r.id = waiters[i].id;
-      r.coalesced = i > 0;
-      r.wall_seconds = SecondsBetween(waiters[i].submit, end);
-      // A follower that attached mid-run spent no time queued.
-      r.queue_seconds =
-          std::max(0.0, SecondsBetween(waiters[i].submit, start));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        RecordLatency(r.wall_seconds);
-      }
-      try {
-        waiters[i].done(r);
-      } catch (...) {
-        // A client callback failure must not take down the lane.
-      }
-    }
+    stats_.memo_hits += r.memo_hits;
+    stats_.memo_misses += r.memo_misses;
+    stats_.memo_cycles_avoided += r.memo_cycles_avoided;
+    RecordLatency(r.wall_seconds);
+  }
+  try {
+    job->done(r);
+  } catch (...) {
+    // A client callback failure must not take down the lane.
   }
 }
 
@@ -585,7 +543,6 @@ std::string SimulationService::StatsJson() const {
   JsonWriter w;
   w.BeginObject();
   w.Key("accepted").Uint(s.accepted);
-  w.Key("coalesced").Uint(s.coalesced);
   w.Key("rejected").Uint(s.rejected);
   w.Key("completed").Uint(s.completed);
   w.Key("degraded").Uint(s.degraded);

@@ -15,19 +15,16 @@
 //     fingerprint-keyed built-trace cache (in-memory LRU over the on-disk
 //     compact cache) — shared by all requests, with --memo-file
 //     persistence on shutdown;
-//   * request coalescing: concurrent jobs with an identical coalescing
-//     key (trace fingerprint, iterations, canonical config hash,
-//     SimLevel, wall budget) attach to the one in-flight simulation and
-//     fan out its result;
 //   * admission control: a bounded queue rejects overload with a typed
 //     `queue_full` error instead of stalling clients;
 //   * per-request isolation reusing the §11 outcome classification: a
 //     hung job trips the wall-clock watchdog and returns a typed
 //     `timeout`, a faulted job returns `sim_failed` — the daemon stays up.
 //
-// Results are bit-identical to one-shot CLI runs of the same (workload,
-// config, SimLevel), including under coalescing and after memo-file
-// reload: replay is exact at the analytical-memory level.
+// Every admitted job runs its own simulation. Results are bit-identical
+// to one-shot CLI runs of the same (workload, config, SimLevel), including
+// for identical jobs run concurrently and after memo-file reload: replay
+// is exact at the analytical-memory level.
 #pragma once
 
 #include <condition_variable>
@@ -115,7 +112,6 @@ struct Response {
   double sim_seconds = 0;    // wall time inside the simulator
   double wall_seconds = 0;   // submit → response (queue + run)
   double queue_seconds = 0;  // submit → job start
-  bool coalesced = false;    // served by fanning out another job's result
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
   std::uint64_t memo_cycles_avoided = 0;
@@ -169,7 +165,6 @@ struct ServiceOptions {
 /// plus latency percentiles over the recent completion window).
 struct ServiceStats {
   std::uint64_t accepted = 0;    // jobs admitted to the queue
-  std::uint64_t coalesced = 0;   // jobs attached to an in-flight twin
   std::uint64_t rejected = 0;    // typed rejections (full/oversized/...)
   std::uint64_t completed = 0;   // ok or degraded
   std::uint64_t degraded = 0;
@@ -185,8 +180,8 @@ struct ServiceStats {
 
 class SimulationService {
  public:
-  /// Invoked exactly once per admitted job, from a worker lane (followers
-  /// of a coalesced job are all invoked by the lane that ran it).
+  /// Invoked exactly once per admitted job, from the worker lane that ran
+  /// it.
   using Callback = std::function<void(const Response&)>;
 
   explicit SimulationService(ServiceOptions opt);
@@ -217,23 +212,6 @@ class SimulationService {
 
  private:
   struct PendingJob;
-  struct CoalesceKey {
-    Fingerprint trace_key;  // WorkloadBuildKey(workload, scale, seed)
-    std::uint64_t cfg_hash = 0;
-    std::uint32_t iterations = 1;
-    std::uint8_t level = 0;
-    /// The resolved wall budget: a follower must not inherit another
-    /// job's budget (or its timeout).
-    double wall_seconds = 0;
-
-    bool operator<(const CoalesceKey& o) const {
-      if (trace_key != o.trace_key) return trace_key < o.trace_key;
-      if (cfg_hash != o.cfg_hash) return cfg_hash < o.cfg_hash;
-      if (iterations != o.iterations) return iterations < o.iterations;
-      if (level != o.level) return level < o.level;
-      return wall_seconds < o.wall_seconds;
-    }
-  };
 
   // Percentile window: enough samples that p99 is meaningful, bounded so
   // a long-lived daemon's stats stay O(1).
@@ -254,7 +232,6 @@ class SimulationService {
 
   ServiceOptions opt_;
   unsigned num_lanes_ = 1;
-  GpuConfig base_generic_;  // preset-free request base
   std::unique_ptr<BoundedQueue<std::shared_ptr<PendingJob>>> queue_;
   std::vector<std::thread> lanes_;
 
@@ -262,7 +239,6 @@ class SimulationService {
   mutable std::mutex mu_;
   bool stopping_ = false;
   bool stopped_ = false;
-  std::map<CoalesceKey, std::shared_ptr<PendingJob>> inflight_;
   ServiceStats stats_;
   // Recent wall latencies (ring) for the percentile report.
   std::vector<double> latencies_;

@@ -1,23 +1,9 @@
 #include "workloads/gen_util.h"
 
-#include <atomic>
-
 #include "common/bitutil.h"
 #include "common/thread_pool.h"
 
 namespace swiftsim::workloads {
-
-namespace {
-std::atomic<bool> g_parallel_build{true};
-}  // namespace
-
-void SetParallelTraceBuild(bool enabled) {
-  g_parallel_build.store(enabled, std::memory_order_relaxed);
-}
-
-bool ParallelTraceBuild() {
-  return g_parallel_build.load(std::memory_order_relaxed);
-}
 
 std::shared_ptr<KernelTrace> MakeKernel(
     const KernelShape& shape, std::uint64_t seed,
@@ -44,11 +30,7 @@ std::shared_ptr<KernelTrace> MakeKernel(
     variants[v].warps.resize(shape.warps_per_cta);
     fill(&variants[v], v, rng);
   };
-  if (ParallelTraceBuild() && num_variants > 1) {
-    ThreadPool::Shared().ParallelFor(num_variants, 0, fill_variant);
-  } else {
-    for (std::size_t v = 0; v < num_variants; ++v) fill_variant(v);
-  }
+  ThreadPool::Shared().ParallelFor(num_variants, 0, fill_variant);
   auto trace =
       std::make_shared<KernelTrace>(std::move(info), std::move(variants));
   trace->ValidateTrace();

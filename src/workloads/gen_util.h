@@ -23,18 +23,10 @@ struct KernelShape {
   std::uint32_t variants = 4;  // distinct CTA traces (shared mod variants)
 };
 
-/// Process-wide toggle for per-variant parallel trace generation inside
-/// MakeKernel (on by default). Generation is deterministic either way —
-/// every variant owns an independent Rng — so this exists for serial
-/// baselines in benches and the build-determinism tests.
-void SetParallelTraceBuild(bool enabled);
-bool ParallelTraceBuild();
-
 /// Builds a kernel by invoking `fill(cta, variant_index, rng)` once per
 /// variant; the Rng is seeded deterministically from (seed, kernel id,
-/// variant). Variants are filled in parallel on the shared ThreadPool when
-/// ParallelTraceBuild() is on. The resulting trace is validated before
-/// return.
+/// variant). Variants are filled in parallel on the shared ThreadPool. The
+/// resulting trace is validated before return.
 std::shared_ptr<KernelTrace> MakeKernel(
     const KernelShape& shape, std::uint64_t seed,
     const std::function<void(CtaTrace*, std::size_t, Rng&)>& fill);

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -257,6 +258,14 @@ TEST(MalformedIni, GpuConfigRejectsBadValues) {
   EXPECT_THROW(
       GpuConfig::FromIni(IniFile::ParseString("[gpu]\nnum_sms = 0\n")),
       SimError);
+  // Zeros the models divide by or step by: a DRAM row of 0 bytes, a
+  // writeback bus retiring nothing, a refresh every 0 cycles.
+  for (const char* zero : {"[dram]\nrow_bytes = 0\n",
+                           "[effects]\nwriteback_bus_width = 0\n",
+                           "[effects]\ndram_refresh_interval = 0\n"}) {
+    EXPECT_THROW(GpuConfig::FromIni(IniFile::ParseString(zero)), SimError)
+        << zero;
+  }
   // Past UINT_MAX a value is refused by name, not wrapped (to 68 SMs and
   // to 0 here).
   for (const char* big : {"4294967364", "4294967296"}) {
@@ -505,13 +514,22 @@ const char* const kRunSettingConfigs[] = {
     "[degrade]\\nmax_retries = 1\\n",
 };
 
-// Machine configs the config layer must refuse: values that do not fit
-// `unsigned` (they would wrap to 68 SMs, or to 0) and `[effects] enabled`,
-// which is not a key: the job's level decides the silicon effects.
-const char* const kBadMachineConfigs[] = {
-    "[gpu]\\nnum_sms = 4294967364\\n",
-    "[gpu]\\nnum_sms = 4294967296\\n",
-    "[effects]\\nenabled = true\\n",
+// Machine configs the config layer must refuse, each with the level it
+// is requested at: values that do not fit `unsigned` (they would wrap to
+// 68 SMs, or to 0), `[effects] enabled`, which is not a key (the job's
+// level decides the silicon effects), and zeros that crashed the daemon
+// (row_bytes at basic) or hung the job (the effects at silicon).
+struct BadMachineConfig {
+  const char* config;
+  const char* level;
+};
+const BadMachineConfig kBadMachineConfigs[] = {
+    {"[gpu]\\nnum_sms = 4294967364\\n", "memory"},
+    {"[gpu]\\nnum_sms = 4294967296\\n", "memory"},
+    {"[effects]\\nenabled = true\\n", "memory"},
+    {"[dram]\\nrow_bytes = 0\\n", "basic"},
+    {"[effects]\\nwriteback_bus_width = 0\\n", "silicon"},
+    {"[effects]\\ndram_refresh_interval = 0\\n", "silicon"},
 };
 
 TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
@@ -536,11 +554,13 @@ TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
   }
   for (std::size_t i = 0; i < std::size(kBadMachineConfigs); ++i) {
     stream << R"({"op":"simulate","id":"badcfg)" << i
-           << R"(","workload":"NW","config":")" << kBadMachineConfigs[i]
-           << R"("})" << "\n";
+           << R"(","workload":"NW","level":")" << kBadMachineConfigs[i].level
+           << R"(","config":")" << kBadMachineConfigs[i].config << R"("})"
+           << "\n";
   }
   stream << R"({"op":"simulate","id":"badpreset","workload":"NW",)"
          << R"("preset":"rtx9090"})" << "\n";
+  stream << R"({"op":"ping","id":"after"})" << "\n";
   stream << R"({"op":"simulate","id":"healthy","workload":"NW",)"
          << R"("scale":0.05})" << "\n";
   stream << R"({"op":"shutdown","id":"bye"})" << "\n";
@@ -551,6 +571,8 @@ TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
   EXPECT_TRUE(res.shutdown);
 
   std::map<std::string, std::string> error_by_id;
+  std::map<std::string, std::string> message_by_id;
+  std::string after_status;
   bool healthy_ok = false;
   std::size_t responses = 0;
   std::istringstream lines(out.str());
@@ -560,16 +582,22 @@ TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
     JsonValue v = ParseJson(line);  // every response is valid JSON
     const JsonValue* id = v.Find("id");
     const JsonValue* err = v.Find("error");
-    if (id != nullptr && err != nullptr) error_by_id[id->AsString()] = err->AsString();
+    if (id != nullptr && err != nullptr) {
+      error_by_id[id->AsString()] = err->AsString();
+      message_by_id[id->AsString()] = v.Find("message")->AsString();
+    }
+    if (id != nullptr && id->AsString() == "after") {
+      after_status = v.Find("status")->AsString();
+    }
     if (id != nullptr && id->AsString() == "healthy") {
       healthy_ok = v.Find("ok")->AsBool();
     }
   }
   // One response per request line: the table, the rejected jobs, the
-  // healthy job, the shutdown acknowledgement.
+  // ping, the healthy job, the shutdown acknowledgement.
   EXPECT_EQ(responses,
             BadRequestLines().size() + std::size(kRunSettingConfigs) +
-                std::size(kBadMachineConfigs) + 5);
+                std::size(kBadMachineConfigs) + 6);
   EXPECT_EQ(error_by_id["ghost"], "unknown_workload");
   EXPECT_EQ(error_by_id["badkey"], "bad_config");
   for (std::size_t i = 0; i < std::size(kRunSettingConfigs); ++i) {
@@ -577,10 +605,15 @@ TEST(MalformedServiceRequest, DaemonSurvivesFullMalformedStream) {
         << kRunSettingConfigs[i];
   }
   for (std::size_t i = 0; i < std::size(kBadMachineConfigs); ++i) {
-    EXPECT_EQ(error_by_id["badcfg" + std::to_string(i)], "bad_config")
-        << kBadMachineConfigs[i];
+    const std::string id = "badcfg" + std::to_string(i);
+    EXPECT_EQ(error_by_id[id], "bad_config") << kBadMachineConfigs[i].config;
+    // A client's mistake names no source location.
+    EXPECT_FALSE(std::regex_search(message_by_id[id],
+                                   std::regex(R"(\.(cc|h):[0-9]+)")))
+        << message_by_id[id];
   }
   EXPECT_EQ(error_by_id["badpreset"], "bad_config");
+  EXPECT_EQ(after_status, "pong");
   EXPECT_TRUE(healthy_ok) << "daemon did not serve a healthy job after the "
                              "malformed stream";
 }

@@ -1,6 +1,7 @@
 // Persistent-service gates (DESIGN.md §15): protocol round-trips, the
 // bit-identity guarantee (daemon results == one-shot runs, including
-// coalesced fan-outs and memo-file reloads), admission control, per-
+// identical jobs run concurrently and memo-file reloads), admission
+// control, per-
 // request isolation, and the concurrency surface — many client threads
 // hammering one service, and the process-global MemoCache/ProfileCache/
 // built-trace caches hammered directly from racing workers. The whole
@@ -179,47 +180,67 @@ TEST_F(ServiceTest, MemoFileReloadStaysBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalescing.
+// Identical jobs in flight together: each runs its own simulation.
 
-TEST_F(ServiceTest, IdenticalInFlightJobsCoalesce) {
+TEST_F(ServiceTest, IdenticalColdTwinsMatchOneShotOnTwoLanes) {
+  constexpr int kTwins = 6;
+  constexpr int kLanes = 2;
+  const JobRequest j = Job("twin", "NW", /*iterations=*/2);
+  const Application app =
+      RepeatLaunches(BuildWorkload(j.workload, {j.scale, j.seed}), j.iterations);
+  const SimResult want =
+      RunSimulation(app, GpuConfig(), SimLevel::kSwiftSimMemory);
+  // The reference warmed the global caches; the twins must start cold so
+  // the first two race to record the same launches.
+  MemoCache::Global().Clear();
+  ProfileCache::Global().Clear();
+
   ServiceOptions opt;
-  opt.threads = 1;
-  opt.max_concurrent = 1;  // one lane: followers must pile onto the leader
+  opt.threads = kLanes;
+  opt.max_concurrent = kLanes;
   SimulationService svc(opt);
 
-  constexpr int kClients = 6;
-  JobRequest j = Job("burst", "NW", /*iterations=*/2);
-  Cycle want = Reference(j);
-
-  // The lane delivers the blocker's response on its own thread, so a
-  // callback that waits holds the lane. The leader then stays queued,
-  // and in flight, until every twin has been submitted; a warm leader
-  // cannot finish before a late twin arrives.
+  // A lane delivers a response on its own thread, so a blocker whose
+  // callback waits holds its lane. One blocker per lane keeps every twin
+  // queued until all are submitted; the release lets both lanes take a
+  // cold twin at once. (With one blocker, the free lane would run the
+  // first twin alone and the rest would replay it.)
   std::mutex mu;
   std::condition_variable cv;
   bool all_submitted = false;
-  std::atomic<bool> blocker_done{false};
-  Response blocked;
-  JobRequest blocker = Job("blocker", "BFS", /*iterations=*/1,
-                           /*seed=*/0xb10c);
+  const auto release = [&] {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      all_submitted = true;
+    }
+    cv.notify_all();
+  };
+  std::atomic<int> blockers_ok{0};
+  std::atomic<int> blockers_left{kLanes};
   Response rejection;
-  ASSERT_TRUE(svc.Submit(
-      blocker,
-      [&](const Response& r) {
-        std::unique_lock<std::mutex> lk(mu);
-        cv.wait(lk, [&] { return all_submitted; });
-        blocked = r;
-        blocker_done.store(true);
-      },
-      &rejection))
-      << rejection.error_message;
+  for (int i = 0; i < kLanes; ++i) {
+    const bool accepted = svc.Submit(
+        Job("blocker-" + std::to_string(i), "BFS", /*iterations=*/1,
+            /*seed=*/0xb10c + i),
+        [&](const Response& r) {
+          std::unique_lock<std::mutex> lk(mu);
+          cv.wait(lk, [&] { return all_submitted; });
+          if (r.ok) blockers_ok.fetch_add(1);
+          blockers_left.fetch_sub(1);
+        },
+        &rejection);
+    if (!accepted) {
+      release();  // or Stop() would wait on a held lane forever
+      FAIL() << rejection.error_message;
+    }
+  }
 
   std::vector<Response> got;
-  std::atomic<int> pending{kClients};
-  for (int i = 0; i < kClients; ++i) {
+  std::atomic<int> pending{kTwins};
+  for (int i = 0; i < kTwins; ++i) {
     JobRequest each = j;
-    each.id = "burst-" + std::to_string(i);
-    bool accepted = svc.Submit(
+    each.id = "twin-" + std::to_string(i);
+    const bool accepted = svc.Submit(
         each,
         [&](const Response& r) {
           std::lock_guard<std::mutex> lk(mu);
@@ -228,36 +249,31 @@ TEST_F(ServiceTest, IdenticalInFlightJobsCoalesce) {
         },
         &rejection);
     if (!accepted) {
-      // Release the lane before failing, or Stop() would wait forever.
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        all_submitted = true;
-      }
-      cv.notify_all();
+      release();
       FAIL() << rejection.error_message;
     }
   }
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    all_submitted = true;
-  }
-  cv.notify_all();
-  while (pending.load() > 0 || !blocker_done.load()) {
+  release();
+  while (pending.load() > 0 || blockers_left.load() > 0) {
     std::this_thread::yield();
   }
 
-  ASSERT_TRUE(blocked.ok) << blocked.error_message;
-  EXPECT_FALSE(blocked.coalesced);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kClients));
-  std::size_t coalesced = 0;
+  EXPECT_EQ(blockers_ok.load(), kLanes);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kTwins));
   for (const Response& r : got) {
     ASSERT_TRUE(r.ok) << r.id << ": " << r.error_message;
-    EXPECT_EQ(r.cycles, want) << r.id << " fan-out diverged";
-    if (r.coalesced) ++coalesced;
+    EXPECT_EQ(r.status, "ok") << r.id;
+    EXPECT_EQ(r.cycles, want.total_cycles) << r.id;
+    EXPECT_EQ(r.instructions, want.instructions) << r.id;
+    EXPECT_EQ(r.degrade_events, 0u) << r.id;
+    // Which twin simulated and which replayed depends on timing; every
+    // launch is one or the other.
+    EXPECT_EQ(r.memo_hits + r.memo_misses,
+              want.Metric("memo.hits") + want.Metric("memo.misses"))
+        << r.id;
   }
-  // The leader was admitted first; every later twin attached to it.
-  EXPECT_EQ(coalesced, static_cast<std::size_t>(kClients - 1));
-  EXPECT_EQ(svc.stats().coalesced, static_cast<std::uint64_t>(kClients - 1));
+  EXPECT_EQ(svc.stats().completed,
+            static_cast<std::uint64_t>(kTwins + kLanes));
 }
 
 TEST_F(ServiceTest, DifferentConfigsDoNotCoalesce) {
@@ -274,12 +290,11 @@ TEST_F(ServiceTest, DifferentConfigsDoNotCoalesce) {
   ASSERT_TRUE(ra.ok && rb.ok);
   EXPECT_NE(ra.cycles, rb.cycles)
       << "1-SM config produced the default cycle count";
-  EXPECT_EQ(svc.stats().coalesced, 0u);
 }
 
 TEST_F(ServiceTest, TwinsWithDifferentWallBudgetsDoNotCoalesce) {
-  // The budgets differ below the precision the config INI prints, so
-  // only an exact budget in the coalescing key tells them apart.
+  // The budgets differ below the precision the config INI prints; each
+  // twin still runs under its own budget and completes.
   ServiceOptions opt;
   opt.threads = 1;
   opt.max_concurrent = 1;  // one lane: the blocker keeps both twins queued
@@ -310,9 +325,8 @@ TEST_F(ServiceTest, TwinsWithDifferentWallBudgetsDoNotCoalesce) {
   while (pending.load() > 0) std::this_thread::yield();
   for (const Response& r : got) {
     ASSERT_TRUE(r.ok) << r.id << ": " << r.error_message;
-    EXPECT_FALSE(r.coalesced) << r.id << " inherited a twin's budget";
   }
-  EXPECT_EQ(svc.stats().coalesced, 0u);
+  EXPECT_EQ(svc.stats().completed, 3u);
 }
 
 TEST_F(ServiceTest, RequestTimeoutSharesTheMemo) {
@@ -364,8 +378,8 @@ TEST_F(ServiceTest, BoundedQueueRejectsOverloadWithTypedError) {
 
   std::atomic<int> done{0};
   std::size_t accepted = 0, queue_full = 0;
-  // Distinct seeds defeat coalescing, so each job needs its own queue
-  // slot; with one lane and one slot most of the burst must bounce.
+  // Each job needs its own queue slot; with one lane and one slot most of
+  // the burst must bounce.
   for (int i = 0; i < 8; ++i) {
     JobRequest j = Job("load-" + std::to_string(i), "NW", /*iterations=*/1,
                        /*seed=*/0x1000 + i);
@@ -519,9 +533,9 @@ TEST_F(ServiceTest, ConcurrentClientsShareWarmStateRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        // Half the clients hit the same two hot jobs (coalescing + warm
-        // replay), half scatter across seeds (cold simulation) — both
-        // sides race on the same global caches.
+        // Half the clients hit the same two hot jobs (warm replay), half
+        // scatter across seeds (cold simulation) — both sides race on the
+        // same global caches.
         const bool hot = (t + i) % 2 == 0;
         JobRequest j = Job("c" + std::to_string(t) + "-" + std::to_string(i),
                            hot ? ((t % 2) ? "BFS" : "NW") : "NW",
@@ -541,7 +555,7 @@ TEST_F(ServiceTest, ConcurrentClientsShareWarmStateRaceFree) {
   for (std::thread& c : clients) c.join();
   EXPECT_EQ(failures.load(), 0);
   ServiceStats s = svc.stats();
-  EXPECT_EQ(s.completed + s.coalesced, kThreads * kPerThread);
+  EXPECT_EQ(s.completed, kThreads * kPerThread);
 }
 
 TEST_F(ServiceTest, GlobalCachesSurviveDirectConcurrentHammer) {
@@ -630,8 +644,7 @@ TEST_F(ServiceTest, BuiltTraceCacheSharedAcrossRacingLanes) {
   for (std::thread& c : clients) c.join();
   EXPECT_EQ(failures.load(), 0);
   ServiceStats s = svc.stats();
-  EXPECT_EQ(s.app_cache_hits + s.app_cache_misses + svc.stats().coalesced,
-            8u);
+  EXPECT_EQ(s.app_cache_hits + s.app_cache_misses, 8u);
   EXPECT_GE(s.app_cache_misses, 3u);  // three fingerprints, each built
 }
 

@@ -10,11 +10,15 @@
 // tolerance to widen.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "config/gpu_config.h"
 #include "swiftsim/simulator.h"
 #include "trace/fingerprint.h"
@@ -179,18 +183,33 @@ TEST(TraceCompact, ShrinkToFitTrimsColumnsAndKeepsResults) {
   EXPECT_EQ(got.metrics, want.metrics);
 }
 
-TEST(TraceCompact, ParallelBuildMatchesSerialBuild) {
-  // Per-variant Rngs are independent, so ThreadPool generation must be a
-  // pure reordering: fingerprints (which walk in variant order) agree.
-  for (const Golden& g : Goldens()) {
-    workloads::SetParallelTraceBuild(false);
-    const Fingerprint serial =
-        FingerprintApplication(BuildWorkload(g.app, TestScale()));
-    workloads::SetParallelTraceBuild(true);
-    const Fingerprint parallel =
-        FingerprintApplication(BuildWorkload(g.app, TestScale()));
-    EXPECT_EQ(serial.ToHex(), parallel.ToHex()) << g.app;
-  }
+TEST(TraceCompact, MakeKernelFillsVariantsConcurrently) {
+  // Each of two variant fills waits for the other to start; filled one
+  // after the other, the first would wait out its deadline alone.
+  // (GoldenFingerprintsAndInstrCounts pins the pool-built traces to the
+  // serially built seed.)
+  ThreadPool::Shared().EnsureWorkers(2);
+  workloads::KernelShape shape;
+  shape.name = "rendezvous";
+  shape.ctas = 2;
+  shape.warps_per_cta = 1;
+  shape.variants = 2;
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  const auto kernel = workloads::MakeKernel(
+      shape, /*seed=*/1, [&](CtaTrace* cta, std::size_t, Rng&) {
+        started.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        if (started.load() == 2) met.fetch_add(1);
+        WarpEmitter(&cta->warps[0]).Exit(0x1000);
+      });
+  EXPECT_EQ(met.load(), 2) << "variant fills did not overlap";
+  EXPECT_EQ(kernel->num_variants(), 2u);
 }
 
 TEST(TraceCompact, DiskCacheRoundTripBitIdentical) {
