@@ -189,6 +189,7 @@ Record SweepRecord(const dse::SweepReport& rep, const std::string& apps) {
 }  // namespace
 
 int RunDse(Bench& b) {
+  if (b.SkipTimedSmoke()) return 77;
   const BenchOptions& opt = b.opt();
   const std::size_t num_points = b.Uint("--points", 64);
   SS_CHECK(num_points > 0, "--points must be positive");

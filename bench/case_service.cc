@@ -318,6 +318,7 @@ int RunSuperviseSmoke(const std::string& daemon_path,
 }  // namespace
 
 int RunService(Bench& b) {
+  if (b.SkipTimedSmoke()) return 77;
   const BenchOptions& opt = b.opt();
   const std::string daemon_path = b.String("--daemon", "tools/swiftsimd");
   const bool smoke = b.Has("--smoke");

@@ -134,11 +134,6 @@ int RunCase(const CaseDef& c, int argc, char** argv) {
     opt.json_path = std::string("results/") + c.name + ".jsonl";
   }
   std::printf("==== %s ====\n", c.title);
-  // A --smoke gate's speedup floor means nothing on a smaller host.
-  if (flags.count("--smoke") != 0 && std::thread::hardware_concurrency() < 4) {
-    std::printf("SKIP: the --smoke gate needs >= 4 hardware threads\n");
-    return 77;
-  }
   if ((c.flags & kScale) != 0) {
     std::printf("scale=%.2f threads=%u apps=%zu\n", opt.scale, opt.threads,
                 opt.apps.size());
@@ -160,6 +155,14 @@ const std::vector<Application>& Bench::Apps() {
     built_ = true;
   }
   return apps_;
+}
+
+bool Bench::SkipTimedSmoke() const {
+  if (!Has("--smoke") || std::thread::hardware_concurrency() >= 4) {
+    return false;
+  }
+  std::printf("SKIP: the --smoke gate needs >= 4 hardware threads\n");
+  return true;
 }
 
 const std::vector<double>& Bench::BuildSeconds() {

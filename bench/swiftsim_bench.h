@@ -38,6 +38,11 @@ class Bench {
   unsigned Unsigned(const std::string& flag, unsigned fallback) const;
   double Double(const std::string& flag, double fallback) const;
 
+  /// True, after printing SKIP, when --smoke was given on a host with
+  /// fewer than 4 hardware threads: a --smoke gate's speedup floor means
+  /// nothing there. Cases whose --smoke gate times something return 77.
+  bool SkipTimedSmoke() const;
+
   /// Stamps `r` with the case, options and host and appends it to --json.
   void Append(Record r) const;
 

@@ -59,28 +59,18 @@ CachePrepass::CachePrepass(const GpuConfig& cfg, bool memoize)
     : cfg_(cfg), memoize_(memoize), l2_(AggregateL2(cfg)) {
   l1s_.reserve(cfg.num_sms);
   for (unsigned s = 0; s < cfg.num_sms; ++s) l1s_.emplace_back(cfg.l1);
+  for (FunctionalCache& l1 : l1s_) caches_.push_back(&l1);
+  caches_.push_back(&l2_);
 }
 
-Fingerprint CachePrepass::StateSignature() const {
+Fingerprint CachePrepass::StateSignature() {
   FpHasher h;
-  for (const FunctionalCache& l1 : l1s_) l1.HashStateInto(h);
-  l2_.HashStateInto(h);
-  return h.Digest();
-}
-
-void CachePrepass::SaveState(
-    std::vector<FunctionalCache::Snapshot>* out) const {
-  out->resize(l1s_.size() + 1);
-  for (std::size_t s = 0; s < l1s_.size(); ++s) {
-    l1s_[s].SaveState(&(*out)[s]);
+  for (FunctionalCache* c : caches_) {
+    const Fingerprint sig = c->Signature();
+    h.Mix(sig.hi);
+    h.Mix(sig.lo);
   }
-  l2_.SaveState(&out->back());
-}
-
-void CachePrepass::RestoreState(
-    const std::vector<FunctionalCache::Snapshot>& s) {
-  for (std::size_t i = 0; i < l1s_.size(); ++i) l1s_[i].RestoreState(s[i]);
-  l2_.RestoreState(s.back());
+  return h.Digest();
 }
 
 void CachePrepass::ProcessKernel(const KernelTrace& kernel,
@@ -94,10 +84,13 @@ void CachePrepass::ProcessKernel(const KernelTrace& kernel,
   const auto it = memo_.find(fp);
   if (it != memo_.end() && it->second.sig_before == before) {
     // Same kernel, behaviorally identical pre-launch state: the replay is
-    // fully determined, so merging the recorded delta and restoring the
-    // recorded after-state is exactly what a fresh replay would produce.
+    // fully determined, so merging the recorded delta and writing back the
+    // sets the recorded launch changed (every other set is untouched by
+    // it) is exactly what a fresh replay would produce.
     profile->Merge(it->second.delta);
-    RestoreState(it->second.state_after);
+    for (std::size_t c = 0; c < caches_.size(); ++c) {
+      caches_[c]->RestoreDelta(it->second.changed[c]);
+    }
     ++replayed_launches_;
     return;
   }
@@ -107,7 +100,10 @@ void CachePrepass::ProcessKernel(const KernelTrace& kernel,
   LaunchMemo entry;
   entry.sig_before = before;
   ProcessKernelImpl(kernel, &entry.delta);
-  SaveState(&entry.state_after);
+  entry.changed.resize(caches_.size());
+  for (std::size_t c = 0; c < caches_.size(); ++c) {
+    caches_[c]->SaveDelta(&entry.changed[c]);
+  }
   profile->Merge(entry.delta);
   memo_[fp] = std::move(entry);
 }

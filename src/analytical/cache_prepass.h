@@ -74,17 +74,24 @@ class CachePrepass {
  public:
   /// With `memoize` set, a repeated launch whose pre-launch state
   /// signature matches a recorded launch of the same kernel is replayed
-  /// from the record: its profile delta is merged and the caches are
-  /// restored to the recorded after-state. Same state + same access
-  /// stream is fully deterministic, so the skip is bit-identical by
-  /// construction; iterative apps reach a periodic cache state within a
-  /// couple of iterations — LRU contents are determined by the access-
-  /// stream suffix (overflowing sets) or settle into the re-touch order
-  /// (resident sets) — after which every launch replays (DESIGN.md §10).
+  /// from the record: its profile delta is merged and the cache sets the
+  /// recorded launch changed are written back as it left them. Same state
+  /// + same access stream is fully deterministic, so the skip is
+  /// bit-identical by construction; iterative apps reach a periodic cache
+  /// state within a couple of iterations — LRU contents are determined by
+  /// the access-stream suffix (overflowing sets) or settle into the
+  /// re-touch order (resident sets) — after which every launch replays
+  /// (DESIGN.md §10).
   explicit CachePrepass(const GpuConfig& cfg, bool memoize = false);
+  CachePrepass(const CachePrepass&) = delete;
+  CachePrepass& operator=(const CachePrepass&) = delete;
 
   /// Replays one kernel, accumulating per-PC hit counts into `profile`.
   void ProcessKernel(const KernelTrace& kernel, MemProfile* profile);
+
+  /// Canonical signature of the warm hierarchy (l1s..., then l2; see
+  /// FunctionalCache::Signature). Costs what changed since the last call.
+  Fingerprint StateSignature();
 
   std::uint64_t replayed_launches() const { return replayed_launches_; }
 
@@ -92,26 +99,19 @@ class CachePrepass {
   struct LaunchMemo {
     Fingerprint sig_before;
     MemProfile delta;
-    // Hierarchy state right after the recorded launch (l1s..., then l2);
-    // restored on replay so subsequent kernels see the exact same caches
-    // a fresh replay would have left.
-    std::vector<FunctionalCache::Snapshot> state_after;
+    // The sets the recorded launch changed, as it left them (l1s..., then
+    // l2); written back on replay so subsequent kernels see the exact
+    // same caches a fresh replay would have left.
+    std::vector<FunctionalCache::Delta> changed;
   };
 
   void ProcessKernelImpl(const KernelTrace& kernel, MemProfile* profile);
-
-  void SaveState(std::vector<FunctionalCache::Snapshot>* out) const;
-  void RestoreState(const std::vector<FunctionalCache::Snapshot>& s);
-
-  /// Canonical signature of the warm hierarchy: per set, the valid lines'
-  /// (tag, sectors) in LRU-rank order. Independent of absolute LRU ticks,
-  /// so two states that behave identically signature-match.
-  Fingerprint StateSignature() const;
 
   GpuConfig cfg_;
   bool memoize_ = false;
   std::vector<FunctionalCache> l1s_;  // one per SM
   FunctionalCache l2_;                // aggregate of all partition slices
+  std::vector<FunctionalCache*> caches_;  // l1s_..., then &l2_
   std::map<Fingerprint, LaunchMemo> memo_;
   std::uint64_t replayed_launches_ = 0;
 };

@@ -155,6 +155,8 @@ class JsonParser {
     }
   }
 
+  // No caller reads array elements (no request field is an array), so
+  // each one is parsed to validate the input and then dropped.
   JsonValue ParseArray(unsigned depth) {
     Expect('[', "'['");
     JsonValue v;
@@ -162,7 +164,7 @@ class JsonParser {
     SkipWs();
     if (Consume(']')) return v;
     for (;;) {
-      v.array_.push_back(ParseValue(depth + 1));
+      ParseValue(depth + 1);
       if (Consume(',')) continue;
       Expect(']', "',' or ']'");
       return v;

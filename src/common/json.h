@@ -63,7 +63,6 @@ class JsonValue {
   bool has_unum_ = false;
   bool has_inum_ = false;
   std::string str_;
-  std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 

@@ -427,10 +427,13 @@ void SimulationService::RunJob(PendingJob& job, Response* out) {
     out->status = "failed";
     return;
   }
-  const Application repeated = job.job.iterations > 1
-                                   ? RepeatLaunches(*app, job.job.iterations)
-                                   : *app;
-  const RunOutcome run = Run({repeated, job.cfg, job.job.level, job.options});
+  // A one-iteration job runs the cached app itself, uncopied.
+  Application repeated;
+  if (job.job.iterations > 1) {
+    repeated = RepeatLaunches(*app, job.job.iterations);
+  }
+  const RunOutcome run = Run({job.job.iterations > 1 ? repeated : *app,
+                              job.cfg, job.job.level, job.options});
   const AppOutcome& outcome = run.outcome;
   out->ok = run.error == nullptr;
   if (!out->ok) {

@@ -498,6 +498,58 @@ TEST(MalformedServiceRequest, OversizedLineRejectedBeforeParsing) {
   EXPECT_EQ(code, service::ErrorCode::kOversized);
 }
 
+TEST(MalformedServiceRequest, NearCapArrayLineGetsBadRequest) {
+  // Arrays are validated element by element and then dropped: a line just
+  // under the 1 MiB cap, made of wide and nested arrays, is answered with
+  // bad_request for its unknown field, and the daemon answers the next
+  // ping.
+  const service::Limits limits;
+  std::string line = R"({"op":"simulate","id":"arrays","workload":"BFS",)"
+                     R"("pad":[)";
+  const std::string nested = "[[[[[[[[[[0,1,2],[3]],[]]]]]]]]],";
+  const std::string wide = "[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15],";
+  while (line.size() + nested.size() + wide.size() + 8 <
+         limits.max_line_bytes) {
+    line += nested;
+    line += wide;
+  }
+  line += "0]}";
+  ASSERT_LT(line.size(), limits.max_line_bytes);
+  ASSERT_GT(line.size(), limits.max_line_bytes - 128);
+
+  service::ServiceOptions opt;
+  opt.threads = 1;
+  service::SimulationService svc(opt);
+  std::istringstream in(line + "\n" + R"({"op":"ping","id":"after"})" +
+                        "\n" + R"({"op":"shutdown","id":"bye"})" + "\n");
+  std::ostringstream out;
+  EXPECT_TRUE(service::ServeLines(in, out, svc).shutdown);
+
+  std::map<std::string, JsonValue> by_id;
+  std::istringstream lines(out.str());
+  std::string reply;
+  while (std::getline(lines, reply)) {
+    JsonValue v = ParseJson(reply);
+    by_id[v.Find("id")->AsString()] = v;
+  }
+  ASSERT_EQ(by_id.count("arrays"), 1u);
+  EXPECT_EQ(by_id["arrays"].Find("error")->AsString(), "bad_request");
+  EXPECT_NE(by_id["arrays"].Find("message")->AsString().find("pad"),
+            std::string::npos);
+  ASSERT_EQ(by_id.count("after"), 1u);
+  EXPECT_EQ(by_id["after"].Find("status")->AsString(), "pong");
+}
+
+TEST(MalformedServiceRequest, NestedArraysStillParseAsJson) {
+  const JsonValue v = ParseJson(R"({"x":[1,[2,{}]]})");
+  ASSERT_TRUE(v.is_object());
+  ASSERT_NE(v.Find("x"), nullptr);
+  EXPECT_TRUE(v.Find("x")->is_array());
+  // Dropped elements are still checked.
+  EXPECT_THROW(ParseJson(R"({"x":[1,[2,{]]})"), SimError);
+  EXPECT_THROW(ParseJson(R"({"x":[1,[2,]]})"), SimError);
+}
+
 // Run settings are not GpuConfig keys: a request config that sets one
 // would otherwise reach the daemon's process-wide caches, its dump
 // directories or its watchdog.

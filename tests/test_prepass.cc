@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+
 #include "config/presets.h"
 #include "workloads/patterns.h"
 #include "workloads/workload.h"
@@ -145,35 +150,96 @@ TEST(PcHitRates, DramRemainderNeverNegative) {
   EXPECT_TRUE(naive_went_negative);
 }
 
+/// Every (kernel id, PC) of every CTA and warp of `app`.
+std::set<std::pair<KernelId, Pc>> AllPcs(const Application& app) {
+  std::set<std::pair<KernelId, Pc>> pcs;
+  std::set<const KernelTrace*> seen;
+  for (const auto& kernel : app.kernels) {
+    if (!seen.insert(kernel.get()).second) continue;
+    for (CtaId c = 0; c < kernel->info().num_ctas; ++c) {
+      for (const WarpTrace& w : kernel->cta(c).warps) {
+        for (const CompactInstr& ins : w) {
+          pcs.emplace(kernel->info().id, ins.pc);
+        }
+      }
+    }
+  }
+  return pcs;
+}
+
+void ExpectSameProfile(const MemProfile& a, const MemProfile& b,
+                       const std::set<std::pair<KernelId, Pc>>& pcs,
+                       const std::string& what) {
+  for (const auto& [id, pc] : pcs) {
+    const PcHitRates& x = a.Lookup(id, pc);
+    const PcHitRates& y = b.Lookup(id, pc);
+    ASSERT_EQ(x.accesses, y.accesses) << what << " kernel " << id << " pc " << pc;
+    ASSERT_EQ(x.l1_hits, y.l1_hits) << what << " kernel " << id << " pc " << pc;
+    ASSERT_EQ(x.l2_hits, y.l2_hits) << what << " kernel " << id << " pc " << pc;
+  }
+}
+
 TEST(Prepass, LaunchMemoizationIsBitIdentical) {
-  // Iterative launch pattern: memoized and plain prepasses must produce
-  // identical per-PC counts, and the memo must actually replay launches.
-  const GpuConfig cfg = Rtx2080TiConfig();
+  // Iterative launch pattern over every workload, under the default GPU
+  // and a 35-SM variant: memoized and plain pre-passes must produce
+  // identical counts at every PC, and the memo must replay exactly the
+  // launches the full-hierarchy signature and snapshots replayed (the
+  // counts below were measured with them, equal on both configs).
+  const std::map<std::string, std::uint64_t> kReplayed = {
+      {"BFS", 8},  {"NW", 9},        {"HOTSPOT", 4}, {"PATHFINDER", 4},
+      {"GAUSSIAN", 6}, {"SRAD", 9},  {"ADI", 7},     {"LU", 4},
+      {"2MM", 9},  {"GEMM", 4},      {"ATAX", 8},    {"MVT", 9},
+      {"SM", 3},   {"II", 4},        {"GRU", 4},     {"LSTM", 4},
+      {"PAGERANK", 8}, {"SSSP", 4}};
+  GpuConfig narrow;
+  narrow.num_sms = 35;
   WorkloadScale s;
   s.scale = 0.05;
-  const Application app = RepeatLaunches(BuildWorkload("BFS", s), 6);
-  MemProfile plain;
-  CachePrepass fresh(cfg, /*memoize=*/false);
-  for (const auto& kernel : app.kernels) {
-    fresh.ProcessKernel(*kernel, &plain);
-  }
-  MemProfile memoized;
-  CachePrepass memo(cfg, /*memoize=*/true);
-  for (const auto& kernel : app.kernels) {
-    memo.ProcessKernel(*kernel, &memoized);
-  }
-  EXPECT_EQ(fresh.replayed_launches(), 0u);
-  EXPECT_GT(memo.replayed_launches(), 0u);
-  for (const auto& kernel : app.kernels) {
-    const KernelId id = kernel->info().id;
-    for (const CompactInstr& ins : kernel->cta(0).warps[0]) {
-      if (!IsGlobalMem(ins.op) || !IsLoad(ins.op)) continue;
-      const PcHitRates& a = plain.Lookup(id, ins.pc);
-      const PcHitRates& b = memoized.Lookup(id, ins.pc);
-      EXPECT_EQ(a.accesses, b.accesses) << ins.pc;
-      EXPECT_EQ(a.l1_hits, b.l1_hits) << ins.pc;
-      EXPECT_EQ(a.l2_hits, b.l2_hits) << ins.pc;
+  ASSERT_EQ(AllWorkloads().size(), kReplayed.size());
+  for (const GpuConfig& cfg : {GpuConfig{}, narrow}) {
+    for (const WorkloadSpec& spec : AllWorkloads()) {
+      const Application app = RepeatLaunches(BuildWorkload(spec.name, s), 6);
+      MemProfile plain;
+      CachePrepass fresh(cfg, /*memoize=*/false);
+      for (const auto& kernel : app.kernels) {
+        fresh.ProcessKernel(*kernel, &plain);
+      }
+      MemProfile memoized;
+      CachePrepass memo(cfg, /*memoize=*/true);
+      for (const auto& kernel : app.kernels) {
+        memo.ProcessKernel(*kernel, &memoized);
+      }
+      const std::string what =
+          spec.name + " on " + std::to_string(cfg.num_sms) + " SMs";
+      EXPECT_EQ(fresh.replayed_launches(), 0u) << what;
+      EXPECT_EQ(memo.replayed_launches(), kReplayed.at(spec.name)) << what;
+      ExpectSameProfile(plain, memoized, AllPcs(app), what);
     }
+  }
+}
+
+TEST(Prepass, DeltaReplayLeavesTheFreshState) {
+  // A replayed launch writes back only the sets its recording changed.
+  // After every launch, the memoized pre-pass must hold the state the
+  // plain one reached by replaying everything, and the same counts.
+  WorkloadScale s;
+  s.scale = 0.05;
+  for (const char* name : {"BFS", "NW", "HOTSPOT", "GEMM"}) {
+    const Application app = RepeatLaunches(BuildWorkload(name, s), 4);
+    const auto pcs = AllPcs(app);
+    MemProfile plain;
+    MemProfile memoized;
+    CachePrepass fresh(GpuConfig{}, /*memoize=*/false);
+    CachePrepass memo(GpuConfig{}, /*memoize=*/true);
+    for (std::size_t k = 0; k < app.kernels.size(); ++k) {
+      fresh.ProcessKernel(*app.kernels[k], &plain);
+      memo.ProcessKernel(*app.kernels[k], &memoized);
+      const std::string what =
+          std::string(name) + " launch " + std::to_string(k);
+      ASSERT_EQ(fresh.StateSignature(), memo.StateSignature()) << what;
+      ExpectSameProfile(plain, memoized, pcs, what);
+    }
+    EXPECT_GT(memo.replayed_launches(), 0u) << name;
   }
 }
 
